@@ -54,8 +54,10 @@ pub fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
     }
 }
 
-/// Position-weighted checksum, same discipline as the dump-format-v2
-/// codec: byte transpositions and zeroed runs both perturb the digest.
+/// Position-weighted wrapping checksum shared by the dump-format-v2
+/// codec, snapshots and the blob store. Because 31 is odd and thus
+/// invertible mod 2^64, it catches every single-byte change; byte
+/// transpositions and zeroed runs both perturb the digest.
 pub fn checksum(bytes: &[u8]) -> u64 {
     bytes
         .iter()

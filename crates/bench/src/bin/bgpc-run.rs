@@ -3,7 +3,7 @@
 //! ```text
 //! bgpc-run --out DIR [--kernel mg] [--class s] [--ranks 8] [--mode vnm]
 //!          [--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]]
-//!          [--threads N] [--trace]
+//!          [--threads N] [--trace [--slots 0,1,2]]
 //!          [--checkpoint-every N] [--checkpoint-dir DIR] [--retain N]
 //!          [--resume DIR] [--crash-at-phase N]
 //!          [--wall-budget-ms N] [--cycle-budget N] [--max-retries N]
@@ -28,8 +28,15 @@
 //!
 //! Writes into `--out DIR`: the per-node `.bgpc` counter dumps,
 //! `run.json` (simulated clocks — identical for an uninterrupted and a
-//! killed-and-resumed job), and with `--trace` the `trace.json` /
-//! `phases.csv` timeline exports.
+//! killed-and-resumed job), and with `--trace` the timeline exports:
+//!
+//! * `trace.json` — Chrome-trace/Perfetto timeline (load via
+//!   `chrome://tracing` or <https://ui.perfetto.dev>); timestamps are
+//!   simulated cycles, so the file is byte-identical for every
+//!   `BGP_SIM_THREADS`. `--slots` names the UPC counter slots sampled
+//!   into it.
+//! * `phases.csv` — per-phase scheduler metrics (delivered messages and
+//!   bytes, woken ranks, collectives, peak torus-link occupancy).
 
 use bgp_arch::cli::ArgParser;
 use bgp_arch::events::CounterMode;
@@ -40,6 +47,7 @@ use bgp_mpi::machine::CheckpointConfig;
 use bgp_mpi::CounterPolicy;
 use bgp_nas::{Class, Kernel};
 use bgp_serve::proto::{parse_class, parse_kernel, parse_mode, workload_tag};
+use bgp_trace::json::{Arr, Obj};
 use bgp_trace::TraceConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -54,6 +62,7 @@ struct Args {
     policy: Option<CounterPolicy>,
     threads: Option<usize>,
     trace: bool,
+    slots: Option<Vec<u8>>,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     retain: usize,
@@ -66,7 +75,8 @@ struct Args {
 
 const USAGE: &str = "usage: bgpc-run --out DIR [--kernel mg|ft|ep|cg|is|lu|sp|bt] \
 [--class s|w|a] [--ranks N] [--mode smp1|smp4|dual|vnm] \
-[--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]] [--threads N] [--trace] \
+[--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]] [--threads N] \
+[--trace [--slots 0,1,2]] \
 [--checkpoint-every N] [--checkpoint-dir DIR] [--retain N] [--resume DIR] \
 [--crash-at-phase N] [--wall-budget-ms N] [--cycle-budget N] [--max-retries N]";
 
@@ -119,6 +129,7 @@ fn parse_args() -> Result<Args, String> {
         policy: None,
         threads: None,
         trace: false,
+        slots: None,
         checkpoint_every: None,
         checkpoint_dir: None,
         retain: 3,
@@ -148,6 +159,15 @@ fn parse_args() -> Result<Args, String> {
             }
             "--threads" | "--sim-threads" => args.threads = Some(p.parse(&a)?),
             "--trace" => args.trace = true,
+            "--slots" => {
+                let slots = p
+                    .value(&a)?
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(|s| s.trim().parse().map_err(|e| format!("--slots: {e}")))
+                    .collect::<Result<_, _>>()?;
+                args.slots = Some(slots);
+            }
             "--checkpoint-every" => args.checkpoint_every = Some(p.parse(&a)?),
             "--checkpoint-dir" => args.checkpoint_dir = Some(p.path(&a)?),
             "--retain" => args.retain = p.parse(&a)?,
@@ -160,6 +180,9 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.out = out.ok_or_else(|| p.missing("--out DIR"))?;
+    if args.slots.is_some() && !args.trace {
+        return Err(format!("--slots needs --trace\n{USAGE}"));
+    }
     Ok(args)
 }
 
@@ -242,7 +265,8 @@ fn main() -> ExitCode {
     spec.sim_threads = args.threads;
     spec.cycle_budget = args.cycle_budget;
     if args.trace {
-        spec.trace = Some(TraceConfig::default());
+        let sample_slots = args.slots.clone().unwrap_or_default();
+        spec.trace = Some(TraceConfig { sample_slots, ..TraceConfig::default() });
     }
     if checkpointing {
         spec.checkpoint = Some(CheckpointConfig {
@@ -296,38 +320,33 @@ fn main() -> ExitCode {
     // one cache entry.
     let cache_key =
         bgp_snapshot::CacheKey { spec: spec.fingerprint(), seed: 0 };
-    let mut run_json = format!(
-        "{{\n  \"kernel\": \"{}\",\n  \"class\": \"{}\",\n  \"ranks\": {},\n  \
-         \"mode\": \"{}\",\n  \"policy\": \"{}\",\n  \"spec_hash\": \"{:#018x}\",\n  \
-         \"seed\": {},\n  \"job_cycles\": {},\n  \"phases\": {}",
-        run_cfg.kernel,
-        run_cfg.class,
-        run_cfg.ranks,
-        run_cfg.mode,
-        policy_tag(&spec.counter_policy),
-        cache_key.spec,
-        cache_key.seed,
-        run.machine.job_cycles(),
-        run.machine.phases()
-    );
+    let mut run_json = Obj::new()
+        .field_str("kernel", &run_cfg.kernel.to_string())
+        .field_str("class", &run_cfg.class.to_string())
+        .field_u64("ranks", run_cfg.ranks as u64)
+        .field_str("mode", &run_cfg.mode.to_string())
+        .field_str("policy", &policy_tag(&spec.counter_policy))
+        .field_str("spec_hash", &format!("{:#018x}", cache_key.spec))
+        .field_u64("seed", cache_key.seed)
+        .field_u64("job_cycles", run.machine.job_cycles())
+        .field_u64("phases", run.machine.phases());
     // Multiplexed jobs also record the rotation schedule the adaptive
     // scheduler actually ran, so the dumps' synthetic sets can be
     // audited without re-running the job.
     if let Some(mux) = run.machine.mux_summary() {
-        run_json.push_str(&format!(
-            ",\n  \"mux\": {{\"base_dwell\": {}, \"rotations\": {}, \"irq_extends\": {}, \
-             \"early_rotates\": {}, \"irq_drained\": {}, \"occupancy\": {:?}, \
-             \"cycle_occupancy\": {:?}}}",
-            mux.base_dwell,
-            mux.rotations,
-            mux.irq_extends,
-            mux.early_rotates,
-            mux.irq_drained,
-            mux.occupancy,
-            mux.cycle_occupancy
-        ));
+        let counts = |v: &[u64]| v.iter().fold(Arr::new(), |a, &x| a.push_u64(x)).finish();
+        let mux_json = Obj::new()
+            .field_u64("base_dwell", mux.base_dwell)
+            .field_u64("rotations", mux.rotations)
+            .field_u64("irq_extends", mux.irq_extends)
+            .field_u64("early_rotates", mux.early_rotates)
+            .field_u64("irq_drained", mux.irq_drained)
+            .field_raw("occupancy", &counts(&mux.occupancy))
+            .field_raw("cycle_occupancy", &counts(&mux.cycle_occupancy))
+            .finish();
+        run_json = run_json.field_raw("mux", &mux_json);
     }
-    run_json.push_str("\n}\n");
+    let run_json = run_json.finish() + "\n";
     if let Err(e) = std::fs::write(args.out.join("run.json"), run_json) {
         eprintln!("bgpc-run: writing run.json: {e}");
         return ExitCode::FAILURE;

@@ -1,45 +1,66 @@
-//! Regenerates every table and figure in one invocation and writes the
-//! CSVs into `results/` (used to refresh EXPERIMENTS.md).
-use bgp_bench::{emit, figures, Scale};
-use bgp_nas::Kernel;
+//! `repro_all` — regenerate tables, figures and `BENCH_*.json` records
+//! by name.
+//!
+//! ```text
+//! repro_all [NAME...] [--quick|--paper] [--gate]
+//! ```
+//!
+//! Each `NAME` is a figure's CSV stem (`fig11_l3_sweep`,
+//! `fig_ext_snapshot`, ...; see `bgp_bench::figures::FIGURES`). With no
+//! names it runs the full paper-and-extensions sweep. CSVs go to
+//! `results/` (or `$BGP_RESULTS_DIR`), records to the repository root
+//! (or `$BGP_BENCH_DIR`). `--gate` turns each figure's acceptance
+//! criteria into the exit code. An unknown name or flag is an error.
 
-fn main() {
-    let scale = Scale::from_args();
+use bgp_arch::cli::ArgParser;
+use bgp_bench::figures::{figure, FIGURES};
+use bgp_bench::report::{run_figure, Figure};
+use bgp_bench::Scale;
+use std::process::ExitCode;
+
+const USAGE: &str = "usage: repro_all [NAME...] [--quick|--paper] [--gate]";
+
+fn parse_args() -> Result<(Vec<&'static Figure>, Scale, bool), String> {
+    let mut figures = Vec::new();
+    let mut scale = None;
+    let mut gate = false;
+    let mut p = ArgParser::from_env(USAGE);
+    while let Some(a) = p.next_flag()? {
+        match a.as_str() {
+            "--quick" | "--paper" if scale.is_some() => {
+                return Err(format!("{a}: only one of --quick / --paper\n{USAGE}"));
+            }
+            "--quick" => scale = Some(Scale::Quick),
+            "--paper" => scale = Some(Scale::Paper),
+            "--gate" => gate = true,
+            flag if flag.starts_with('-') => return Err(p.unexpected(flag)),
+            name => figures.push(figure(name).ok_or_else(|| format!("unknown figure {name}"))?),
+        }
+    }
+    if figures.is_empty() {
+        figures = FIGURES.iter().filter(|f| f.in_all).collect();
+    }
+    Ok((figures, scale.unwrap_or(Scale::Default), gate))
+}
+
+fn main() -> ExitCode {
+    let (figures, scale, gate) = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            eprintln!("{e}\nfigures: {}", names.join(" "));
+            return ExitCode::FAILURE;
+        }
+    };
     eprintln!("[repro_all] scale: {scale:?}");
-    emit("fig03_modes", &figures::fig03());
-    eprintln!("[repro_all] fig03 done");
-    emit("tab_overhead", &figures::tab_overhead());
-    eprintln!("[repro_all] overhead done");
-    emit("fig06_instr_mix", &figures::fig06(scale));
-    eprintln!("[repro_all] fig06 done");
-    emit("fig07_ft_simd", &figures::fig_simd_sweep(Kernel::Ft, scale));
-    eprintln!("[repro_all] fig07 done");
-    emit("fig08_mg_simd", &figures::fig_simd_sweep(Kernel::Mg, scale));
-    eprintln!("[repro_all] fig08 done");
-    emit(
-        "fig09_exec_time",
-        &figures::fig_exec_time(&[Kernel::Mg, Kernel::Ft, Kernel::Ep, Kernel::Cg], scale),
-    );
-    eprintln!("[repro_all] fig09 done");
-    emit(
-        "fig10_exec_time",
-        &figures::fig_exec_time(&[Kernel::Is, Kernel::Lu, Kernel::Sp, Kernel::Bt], scale),
-    );
-    eprintln!("[repro_all] fig10 done");
-    emit("fig11_l3_sweep", &figures::fig11(scale));
-    eprintln!("[repro_all] fig11 done");
-    let rows = figures::mode_comparison(scale);
-    emit("fig12_ddr_ratio", &figures::fig12(&rows));
-    emit("fig13_time_increase", &figures::fig13(&rows));
-    emit("fig14_mflops_chip", &figures::fig14(&rows));
-    eprintln!("[repro_all] figs12-14 done");
-    emit("fig_ext_prefetch", &figures::fig_ext_prefetch(scale));
-    emit("fig_ext_modes_all4", &figures::fig_ext_modes(scale));
-    emit("fig_ext_512events", &figures::fig_ext_512events(scale));
-    emit("fig_ext_faults", &figures::fig_ext_faults(scale));
-    emit("fig_ext_scaling", &figures::fig_ext_scaling(scale));
-    emit("fig_ext_trace_overhead", &figures::fig_ext_trace_overhead(scale));
-    emit("fig_ext_memthroughput", &figures::fig_ext_memthroughput(scale));
-    emit("fig_ext_fullmachine", &figures::fig_ext_fullmachine(scale));
-    eprintln!("[repro_all] extensions done");
+    let mut held = true;
+    for fig in figures {
+        held &= run_figure(fig, scale, gate);
+        eprintln!("[repro_all] {} done", fig.name);
+    }
+    if held {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -1,10 +1,13 @@
 //! # bgp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (`src/bin/fig*.rs`), plus the
-//! dependency-free micro-benchmarks in `benches/`. This library holds the
-//! shared machinery: run a NAS kernel job under whole-program
-//! instrumentation, post-process the dumps into a [`Frame`], and extract
-//! the metrics the figures plot.
+//! Two binaries: `repro_all` regenerates any table or figure of the
+//! paper (and the extensions) by name from the registry in
+//! [`figures::FIGURES`], and `bgpc-run` runs one supervised,
+//! optionally traced job. The dependency-free micro-benchmarks live in
+//! `benches/`. This library holds the shared machinery: run a NAS
+//! kernel job under whole-program instrumentation, post-process the
+//! dumps into a [`Frame`], extract the metrics the figures plot, and
+//! write each figure's [`report::Report`].
 //!
 //! Because a node's UPC unit observes one counter mode per run, every
 //! *full* measurement is two runs — exactly the methodology the paper's
@@ -18,6 +21,7 @@
 
 pub mod figures;
 pub mod microbench;
+pub mod report;
 
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
@@ -325,18 +329,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from argv: `--quick` or `--paper`, default otherwise.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Default
-        }
-    }
-
     /// Problem class at this scale.
     pub fn class(self) -> Class {
         match self {
@@ -355,7 +347,8 @@ impl Scale {
     }
 }
 
-/// Directory figure binaries write their CSVs into (`results/`).
+/// Directory figures write their CSVs into (`results/`, or
+/// `$BGP_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
     let p = std::env::var("BGP_RESULTS_DIR").unwrap_or_else(|_| "results".into());
     let p = PathBuf::from(p);

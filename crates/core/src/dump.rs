@@ -28,6 +28,7 @@
 //! aggregation when nodes die or dumps arrive mangled.
 
 use bgp_arch::events::{CounterMode, NUM_COUNTERS};
+use bgp_arch::wire::checksum;
 use bgp_arch::{error::Context, error::Result, BgpError};
 
 /// File magic.
@@ -361,16 +362,6 @@ fn decode_set(rec: &[u8]) -> std::result::Result<SetDump, String> {
         .map(|i| read_u64(&rec[8 + i * 8..16 + i * 8]))
         .collect();
     Ok(SetDump { id, records, counts })
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    // Position-weighted wrapping sum: cheap, order-sensitive, and —
-    // because 31 is odd and thus invertible mod 2^64 — guaranteed to
-    // catch every single-byte change.
-    bytes
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc.wrapping_mul(31).wrapping_add(b as u64 ^ i as u64))
 }
 
 fn read_u32(b: &[u8]) -> u32 {

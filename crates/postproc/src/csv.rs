@@ -35,6 +35,16 @@ impl Csv {
         self
     }
 
+    /// The column names.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// The data rows, each as wide as the header.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -3,9 +3,10 @@
 //! This is the workspace's **shared wire-text module** (re-exported
 //! through the facade as `bgp::json`): the writer side is the escape
 //! helpers plus the [`Obj`]/[`Arr`] builders used by the Chrome-trace
-//! exporter and the `bgp-serve` protocol; the reader side is a small
-//! recursive-descent parser used by the round-trip test, the service
-//! daemon, and the `bgpc-trace` / `bgpc-dump --json` consumers. Numbers
+//! exporter, the `bgp-serve` protocol and the `bgp-bench` records; the
+//! reader side is a small recursive-descent parser used by the
+//! round-trip test, the service daemon, and the `bgpc-dump --json`
+//! consumers. Numbers
 //! are kept as their **raw token** so 64-bit cycle counts survive a
 //! round trip exactly — nothing is funneled through `f64`.
 

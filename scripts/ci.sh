@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, clippy-clean with all
-# warnings denied. Run from the repository root. Network-dependent
-# dev-tooling stays behind the (empty by default) `net-dev-deps` cargo
-# feature, so this script works fully offline.
+# warnings denied. Run from the repository root; works fully offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,11 +20,11 @@ done
 echo "==> determinism full matrix"
 cargo test -q --release --test determinism -- --ignored
 
-echo "==> trace smoke (bgpc-trace over a 4-node job + bgpc-dump --json)"
+echo "==> trace smoke (bgpc-run --trace over a 4-node job + bgpc-dump --json)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-target/release/bgpc-trace --out "$trace_dir" --kernel mg --class s --ranks 16 \
-    --mode vnm --slots 0,1,2
+target/release/bgpc-run --out "$trace_dir" --kernel mg --class s --ranks 16 \
+    --mode vnm --trace --slots 0,1,2
 test -s "$trace_dir/trace.json" || { echo "trace smoke: empty trace.json"; exit 1; }
 test -s "$trace_dir/phases.csv" || { echo "trace smoke: empty phases.csv"; exit 1; }
 target/release/bgpc-dump "$trace_dir" --json > "$trace_dir/stats.json"
@@ -36,17 +34,17 @@ echo "==> trace overhead gate (disabled tracing < 1%)"
 # BGP_BENCH_DIR keeps the quick-scale gate from clobbering the
 # committed Default-scale BENCH_trace.json at the repo root.
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_trace_overhead --quick --gate
+    target/release/repro_all fig_ext_trace_overhead --quick --gate
 
 echo "==> batched memory engine gate (mem_ops >= 1.5x mem_op)"
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_memthroughput --quick --gate
+BGP_RESULTS_DIR="$trace_dir" target/release/repro_all fig_ext_memthroughput --quick --gate
 
 echo "==> event validation gate (exact events bit-for-bit, mux dumps thread-invariant)"
 # Quick scale gates exactness + determinism; the reconstruction-quality
 # bounds (median error, coverage) are asserted at Default scale, where
 # the committed BENCH_validation.json is produced.
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_validation --quick --gate
+    target/release/repro_all fig_ext_validation --quick --gate
 
 echo "==> checkpoint/restart smoke (crash MG S mid-run, resume, byte-diff)"
 ck_dir="$trace_dir/ck"
@@ -101,18 +99,18 @@ wait "$svc_pid" || { echo "service smoke: daemon exited non-zero"; exit 1; }
 
 echo "==> counter service load gate (quick scale: 2k requests, byte-identical replays)"
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_service --quick --gate
+    target/release/repro_all fig_ext_service --quick --gate
 
 echo "==> full-machine scaling gate (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
 # Runs at Default scale so the 73k-node smoke actually executes and the
 # committed BENCH_fullmachine.json records the acceptance numbers; the
-# bin itself asserts verification and the per-rank RSS budget (~10 s).
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_fullmachine
+# figure asserts verification and the gate the per-rank RSS budget (~10 s).
+BGP_RESULTS_DIR="$trace_dir" target/release/repro_all fig_ext_fullmachine --gate
 
 echo "==> snapshot overhead gate (checkpoint every 64 phases < 5%, Default scale)"
 # Runs at Default scale (MG class A) so the committed BENCH_snapshot.json
 # records the acceptance-criterion numbers; ~1 min.
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_snapshot --gate
+BGP_RESULTS_DIR="$trace_dir" target/release/repro_all fig_ext_snapshot --gate
 
 echo "==> cargo bench smoke"
 BGP_BENCH_SAMPLES=1 cargo bench --workspace 2>&1 | tail -n 20
