@@ -17,6 +17,9 @@ for threads in 1 4; do
     BGP_SIM_THREADS=$threads cargo test -q --workspace
 done
 
+echo "==> golden oracle under the fat-LTO release profile"
+cargo test -q --release --test golden_export
+
 echo "==> determinism full matrix"
 cargo test -q --release --test determinism -- --ignored
 
