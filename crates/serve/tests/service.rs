@@ -283,3 +283,21 @@ fn bad_requests_do_not_kill_the_connection() {
     assert!(pong.contains("\"pong\":true"));
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
+    let server = spawn(quiet_cfg());
+    let mut client = Client::connect(server.addr()).unwrap();
+    // 200 KB of `[` used to overflow the connection thread's stack in
+    // the recursive JSON parser and abort the whole daemon.
+    let bad = client.request(&"[".repeat(200_000)).unwrap();
+    assert_eq!(str_member(&bad, "error"), Some("bad-request"), "{bad}");
+    assert!(bad.contains("nesting deeper than 128 levels at byte 128"), "{bad}");
+    let pong = client.request(&Request::Ping.encode()).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    // A fresh connection is served too.
+    let mut other = Client::connect(server.addr()).unwrap();
+    let pong = other.request(&Request::Ping.encode()).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    server.shutdown();
+}

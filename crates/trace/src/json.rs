@@ -100,12 +100,19 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so this bounds its stack use: a hostile document
+/// (say, a service request line of 200 KB of `[`) is rejected with an
+/// error instead of overflowing the stack and aborting the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or
+/// of the first container nested deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -118,6 +125,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -142,8 +151,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -151,6 +160,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one container a level deeper, refusing to exceed
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -488,5 +512,19 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("\"abc").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH - 1).replace(":}", ":{}}")).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // The abort reproducer: one 200 KB line of `[`.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels at byte 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(1_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 }
