@@ -28,7 +28,7 @@
 //! aggregation when nodes die or dumps arrive mangled.
 
 use bgp_arch::events::{CounterMode, NUM_COUNTERS};
-use bgp_arch::wire::checksum;
+use bgp_arch::wire::{checksum, Reader};
 use bgp_arch::{error::Context, error::Result, BgpError};
 
 /// File magic.
@@ -197,7 +197,8 @@ pub fn encode(dump: &NodeDump) -> Vec<u8> {
 /// garbage — yields [`BgpError::Corrupt`] with the byte offset of the
 /// first problem found. Use [`decode_lenient`] to salvage what survives.
 pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
-    let header = decode_header(bytes)?;
+    let mut r = Reader::new(bytes);
+    let header = decode_header(&mut r)?;
     let body_len = HEADER_BYTES + header.n_sets * SET_RECORD_BYTES;
     if bytes.len() != body_len + 8 {
         return Err(BgpError::Corrupt(
@@ -212,20 +213,14 @@ pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
         ));
     }
     let mut sets = Vec::with_capacity(header.n_sets);
-    for i in 0..header.n_sets {
-        let start = HEADER_BYTES + i * SET_RECORD_BYTES;
-        let rec = &bytes[start..start + SET_RECORD_BYTES];
-        let set = decode_set(rec).map_err(|reason| {
-            BgpError::Corrupt(
-                Context::new(reason)
-                    .at_node(header.node)
-                    .at_set(read_u32(&rec[0..4]))
-                    .at_offset(start as u64),
-            )
+    for _ in 0..header.n_sets {
+        let start = r.pos();
+        let set = decode_set(r.take(SET_RECORD_BYTES, "set record")?).map_err(|reason| {
+            BgpError::Corrupt(reason.at_node(header.node).at_offset(start as u64))
         })?;
         sets.push(set);
     }
-    let declared = read_u64(&bytes[body_len..body_len + 8]);
+    let declared = r.u64("file checksum")?;
     let actual = checksum(&bytes[..body_len]);
     if declared != actual {
         return Err(BgpError::Corrupt(
@@ -247,19 +242,19 @@ pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
 /// data to. Otherwise every set whose own checksum verifies is
 /// recovered; the rest are quarantined with the reason and offset.
 pub fn decode_lenient(bytes: &[u8]) -> Result<RecoveredDump> {
-    let header = decode_header(bytes)?;
+    let mut r = Reader::new(bytes);
+    let header = decode_header(&mut r)?;
     let mut sets = Vec::new();
     let mut quarantined = Vec::new();
     let mut truncated = false;
     for i in 0..header.n_sets {
-        let start = HEADER_BYTES + i * SET_RECORD_BYTES;
-        if start + SET_RECORD_BYTES > bytes.len() {
+        let start = r.pos();
+        let Ok(rec) = r.take(SET_RECORD_BYTES, "set record") else {
             truncated = true;
             quarantined.push(QuarantinedSet {
                 index: i,
-                id: (start + 4 <= bytes.len())
-                    .then(|| read_u32(&bytes[start..start + 4])),
-                offset: start.min(bytes.len()) as u64,
+                id: Reader::new(&bytes[start..]).u32("set id").ok(),
+                offset: start as u64,
                 reason: "file ends mid-record".into(),
             });
             // Later records cannot start at their proper offsets either.
@@ -279,23 +274,26 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<RecoveredDump> {
                 });
             }
             break;
-        }
-        let rec = &bytes[start..start + SET_RECORD_BYTES];
+        };
         match decode_set(rec) {
             Ok(set) => sets.push(set),
-            Err(reason) => quarantined.push(QuarantinedSet {
+            Err(bad) => quarantined.push(QuarantinedSet {
                 index: i,
-                id: Some(read_u32(&rec[0..4])),
+                id: bad.set,
                 offset: start as u64,
-                reason,
+                reason: bad.reason,
             }),
         }
     }
-    let body_len = HEADER_BYTES + header.n_sets * SET_RECORD_BYTES;
-    let checksum_ok = bytes.len() == body_len + 8
-        && read_u64(&bytes[body_len..body_len + 8]) == checksum(&bytes[..body_len]);
-    if bytes.len() < body_len + 8 {
-        truncated = true;
+    let mut checksum_ok = false;
+    if !truncated {
+        let body_len = r.pos();
+        match r.u64("file checksum") {
+            Ok(declared) => {
+                checksum_ok = r.remaining() == 0 && declared == checksum(&bytes[..body_len]);
+            }
+            Err(_) => truncated = true,
+        }
     }
     Ok(RecoveredDump {
         node: header.node,
@@ -313,27 +311,28 @@ struct Header {
     n_sets: usize,
 }
 
-fn decode_header(bytes: &[u8]) -> Result<Header> {
-    if bytes.len() < HEADER_BYTES {
+/// Read the fixed header, leaving `r` at the first set record.
+fn decode_header(r: &mut Reader<'_>) -> Result<Header> {
+    if r.remaining() < HEADER_BYTES {
         return Err(BgpError::Corrupt(
             Context::new(format!(
                 "file shorter than the {HEADER_BYTES}-byte header ({} bytes)",
-                bytes.len()
+                r.remaining()
             ))
-            .at_offset(bytes.len() as u64),
+            .at_offset(r.remaining() as u64),
         ));
     }
-    if &bytes[0..4] != MAGIC {
+    if r.take(4, "magic")? != MAGIC {
         return Err(BgpError::Corrupt(Context::new("bad magic").at_offset(0)));
     }
-    let version = read_u32(&bytes[4..8]);
+    let version = r.u32("version")?;
     if version != VERSION {
         return Err(BgpError::Corrupt(
             Context::new(format!("unsupported version {version}")).at_offset(4),
         ));
     }
-    let node = read_u32(&bytes[8..12]);
-    let mode_byte = bytes[12];
+    let node = r.u32("node id")?;
+    let mode_byte = r.u8("counter mode")?;
     let mode = CounterMode::from_index(mode_byte as usize).ok_or_else(|| {
         BgpError::Corrupt(
             Context::new(format!("invalid counter mode {mode_byte}"))
@@ -341,35 +340,32 @@ fn decode_header(bytes: &[u8]) -> Result<Header> {
                 .at_offset(12),
         )
     })?;
-    let n_sets = read_u32(&bytes[13..17]) as usize;
+    let n_sets = r.u32("set count")? as usize;
     Ok(Header { node, mode, n_sets })
 }
 
-/// Decode one full-length set record, verifying its own checksum.
-fn decode_set(rec: &[u8]) -> std::result::Result<SetDump, String> {
+/// Decode one full-length set record, verifying its own checksum. A bad
+/// record yields the reason and the set id as read; the caller adds the
+/// node and the record's offset.
+fn decode_set(rec: &[u8]) -> std::result::Result<SetDump, Context> {
     debug_assert_eq!(rec.len(), SET_RECORD_BYTES);
-    let payload = SET_RECORD_BYTES - 8;
-    let declared = read_u64(&rec[payload..]);
-    let actual = checksum(&rec[..payload]);
+    let mut r = Reader::new(rec);
+    let fields = (|| {
+        let id = r.u32("set id")?;
+        let records = r.u32("set records")?;
+        let mut counts = vec![0; NUM_COUNTERS];
+        r.u64_array(&mut counts, "set counts")?;
+        Ok::<_, BgpError>((SetDump { id, records, counts }, r.u64("set checksum")?))
+    })();
+    let (set, declared) = fields.map_err(|e| Context::new(e.to_string()))?;
+    let actual = checksum(&rec[..SET_RECORD_BYTES - 8]);
     if declared != actual {
-        return Err(format!(
+        return Err(Context::new(format!(
             "set checksum mismatch: stored {declared:#x}, computed {actual:#x}"
-        ));
+        ))
+        .at_set(set.id));
     }
-    let id = read_u32(&rec[0..4]);
-    let records = read_u32(&rec[4..8]);
-    let counts = (0..NUM_COUNTERS)
-        .map(|i| read_u64(&rec[8 + i * 8..16 + i * 8]))
-        .collect();
-    Ok(SetDump { id, records, counts })
-}
-
-fn read_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
-}
-
-fn read_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+    Ok(set)
 }
 
 #[cfg(test)]
