@@ -80,10 +80,6 @@ const USAGE: &str = "usage: bgpc-run --out DIR [--kernel mg|ft|ep|cg|is|lu|sp|bt
 [--checkpoint-every N] [--checkpoint-dir DIR] [--retain N] [--resume DIR] \
 [--crash-at-phase N] [--wall-budget-ms N] [--cycle-budget N] [--max-retries N]";
 
-/// Baseline dwell (phases per mode) a bare `--policy mux` uses — the
-/// value the validation suite's reconstruction gate is tuned at.
-const DEFAULT_MUX_DWELL: u32 = 12;
-
 fn parse_policy(s: &str) -> Option<CounterPolicy> {
     let mode = |i: usize| CounterMode::from_index(i).expect("mode index in range");
     match s {
@@ -92,10 +88,7 @@ fn parse_policy(s: &str) -> Option<CounterPolicy> {
         "fixed2" => Some(CounterPolicy::Fixed(mode(2))),
         "fixed3" => Some(CounterPolicy::Fixed(mode(3))),
         "evenodd" => Some(CounterPolicy::EvenOdd { even: mode(0), odd: mode(1) }),
-        "mux" => Some(CounterPolicy::Multiplexed {
-            first: mode(0),
-            base_dwell: DEFAULT_MUX_DWELL,
-        }),
+        "mux" => Some(CounterPolicy::multiplexed()),
         other => {
             let dwell: u32 = other.strip_prefix("mux:")?.parse().ok()?;
             (dwell > 0).then_some(CounterPolicy::Multiplexed {

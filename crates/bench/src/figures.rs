@@ -1013,9 +1013,6 @@ pub fn fig_ext_multiplex(scale: Scale) -> Csv {
 /// events by the validation gate.
 const VALIDATION_GATE_MUX_MEDIAN: f64 = 0.05;
 
-/// Rotation baseline dwell (phases) used by the validation runs.
-const VALIDATION_DWELL: u32 = 12;
-
 /// Extension: **ground-truth event validation**. For MG and CG, run
 /// each counter mode exactly, once under the adaptive multiplexing
 /// policy (pinned to 1 and to 4 simulator threads), and once
@@ -1038,8 +1035,7 @@ pub fn fig_ext_validation(scale: Scale) -> Report {
     use std::sync::Arc;
 
     let full = scale != Scale::Quick;
-    let mux_policy =
-        CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: VALIDATION_DWELL };
+    let mux_policy = CounterPolicy::multiplexed();
     let mut csv = Csv::new([
         "kernel",
         "exact_checked",

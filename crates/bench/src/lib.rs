@@ -3,11 +3,10 @@
 //! Two binaries: `repro_all` regenerates any table or figure of the
 //! paper (and the extensions) by name from the registry in
 //! [`figures::FIGURES`], and `bgpc-run` runs one supervised,
-//! optionally traced job. The dependency-free micro-benchmarks live in
-//! `benches/`. This library holds the shared machinery: run a NAS
-//! kernel job under whole-program instrumentation, post-process the
-//! dumps into a [`Frame`], extract the metrics the figures plot, and
-//! write each figure's [`report::Report`].
+//! optionally traced job. This library holds the shared machinery: run
+//! a NAS kernel job under whole-program instrumentation, post-process
+//! the dumps into a [`Frame`], extract the metrics the figures plot,
+//! and write each figure's [`report::Report`].
 //!
 //! Because a node's UPC unit observes one counter mode per run, every
 //! *full* measurement is two runs — exactly the methodology the paper's
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod microbench;
 pub mod report;
 
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent};
@@ -114,11 +112,6 @@ pub fn measure_cores(cfg: &RunConfig) -> Measured {
 /// Run with mode 2 everywhere: shared L3/DDR events.
 pub fn measure_memory(cfg: &RunConfig) -> Measured {
     measure(cfg, CounterPolicy::Fixed(CounterMode::Mode2))
-}
-
-/// Run with mode 3 everywhere: network events.
-pub fn measure_network(cfg: &RunConfig) -> Measured {
-    measure(cfg, CounterPolicy::Fixed(CounterMode::Mode3))
 }
 
 /// Outcome of one instrumented run kept at dump granularity, with the

@@ -41,10 +41,10 @@ use bgp_arch::error::Result;
 use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
-use bgp_faults::{CounterFault, FaultPlan};
+use bgp_faults::CounterFault;
 use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
-use dump::{NodeDump, RecoveredDump, SetDump};
+use dump::{NodeDump, SetDump};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
@@ -488,40 +488,6 @@ impl CounterLibrary {
         Ok(paths)
     }
 
-    /// Like [`CounterLibrary::write_dumps`], but filtered through a
-    /// fault plan: lost nodes and planned-missing files are skipped,
-    /// truncation and byte flips are applied to the written bytes.
-    /// Returns the paths actually written.
-    pub fn write_dumps_with_faults(
-        &self,
-        dir: &Path,
-        plan: &FaultPlan,
-    ) -> Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let nodes = self.nodes.lock();
-        let mut paths = Vec::with_capacity(nodes.len());
-        for (i, st) in nodes.iter().enumerate() {
-            if plan.node_lost(i as u32) {
-                continue; // died before flushing anything
-            }
-            let bytes = st
-                .dump
-                .as_ref()
-                .ok_or_else(|| BgpError::protocol(format!("node {i} never finalized")))?;
-            let bytes = match plan.dump_fault(i as u32) {
-                Some(f) => match f.apply(bytes.clone()) {
-                    Some(b) => b,
-                    None => continue, // planned-missing file
-                },
-                None => bytes.clone(),
-            };
-            let p = dir.join(format!("node_{i:05}.bgpc"));
-            std::fs::write(&p, &bytes)?;
-            paths.push(p);
-        }
-        Ok(paths)
-    }
-
     /// The encoded dump bytes of one node, if it finalized (the raw
     /// material the collection pipeline fetches and decodes).
     pub fn encoded_dump(&self, node: usize) -> Option<Vec<u8>> {
@@ -541,51 +507,6 @@ pub fn read_dumps(dir: &Path) -> Result<Vec<NodeDump>> {
         .iter()
         .map(|p| dump::decode(&std::fs::read(p)?))
         .collect()
-}
-
-/// Outcome of [`read_dumps_lenient`]: everything salvageable from a
-/// directory of possibly-damaged dump files.
-#[derive(Debug)]
-pub struct LenientRead {
-    /// Per-file recovery results (one per readable file, sorted by
-    /// file name). Partially damaged files appear here with their
-    /// surviving sets; check [`RecoveredDump::is_intact`].
-    pub recovered: Vec<RecoveredDump>,
-    /// Files whose header was unusable, with the decode error.
-    pub unreadable: Vec<(PathBuf, BgpError)>,
-}
-
-impl LenientRead {
-    /// The surviving per-node dumps (damaged sets already dropped).
-    pub fn dumps(&self) -> Vec<NodeDump> {
-        self.recovered.iter().cloned().map(RecoveredDump::into_dump).collect()
-    }
-}
-
-/// Read every `*.bgpc` file in `dir` (sorted by name), salvaging what
-/// each file's per-set checksums allow. Only an unreadable *directory*
-/// is an error; unusable files are reported, not fatal.
-pub fn read_dumps_lenient(dir: &Path) -> Result<LenientRead> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "bgpc"))
-        .collect();
-    paths.sort();
-    let mut out = LenientRead { recovered: Vec::new(), unreadable: Vec::new() };
-    for p in paths {
-        let bytes = match std::fs::read(&p) {
-            Ok(b) => b,
-            Err(e) => {
-                out.unreadable.push((p, e.into()));
-                continue;
-            }
-        };
-        match dump::decode_lenient(&bytes) {
-            Ok(r) => out.recovered.push(r),
-            Err(e) => out.unreadable.push((p, e)),
-        }
-    }
-    Ok(out)
 }
 
 /// Run `kernel` under whole-program instrumentation, the way linking the

@@ -172,7 +172,7 @@ impl RankCtx {
         }
         .with_size();
         // Whole-job tracing (JobSpec::trace) starts at cycle 0; the
-        // machine installed the shared configuration already.
+        // machine sized the recorders from the same configuration.
         if let Some(cfg) = ctx.machine.spec().trace.clone() {
             if cfg.enabled {
                 ctx.arm_tracing(&cfg);
@@ -302,11 +302,6 @@ impl RankCtx {
         self.with_node(|n| n.timebase(core))
     }
 
-    /// The build's instruction-selection engine (read-only).
-    pub fn codegen(&self) -> &CodeGen {
-        &self.cg
-    }
-
     /// Charge raw cycles to this rank's core (runtime-library overheads —
     /// used by the counter interface library to model its call costs).
     pub fn charge_cycles(&mut self, n: u64) {
@@ -423,61 +418,14 @@ impl RankCtx {
     // Tracing
     // ------------------------------------------------------------------
 
-    /// Whether this rank currently records trace events.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Configure and (if `cfg.enabled`) start tracing on this rank.
-    /// All ranks of a job must supply equal configurations.
-    ///
-    /// # Errors
-    /// Returns a description if `cfg` diverges from a configuration
-    /// another rank already installed.
-    pub fn enable_tracing(&mut self, cfg: &TraceConfig) -> Result<(), String> {
-        self.machine.trace.configure(cfg)?;
-        if cfg.enabled {
-            self.arm_tracing(cfg);
-        }
-        Ok(())
-    }
-
-    /// Runtime toggle: start or stop recording on this rank. Starting
-    /// uses the job's installed [`TraceConfig`] (or the default if none
-    /// was ever supplied). Toggles take effect at event granularity on
-    /// this rank and at phase granularity on the scheduler stream.
-    pub fn set_tracing(&mut self, on: bool) {
-        if on == self.tracing {
-            return;
-        }
-        if on {
-            let cfg = self.machine.trace.config().unwrap_or_else(|| {
-                let d = TraceConfig::default();
-                self.machine
-                    .trace
-                    .configure(&d)
-                    .expect("default config cannot diverge from nothing");
-                d
-            });
-            self.arm_tracing(&cfg);
-        } else {
-            self.tracing = false;
-            self.machine.trace.rank_leave();
-        }
-    }
-
-    /// Start recording with `cfg` (idempotent).
+    /// Start recording with `cfg`.
     fn arm_tracing(&mut self, cfg: &TraceConfig) {
-        if self.tracing {
-            return;
-        }
         // The baseline memory snapshot must include everything queued.
         self.flush_pending();
         self.trace_sample_every = cfg.sample_every;
         self.trace_slots = cfg.sample_slots.clone();
         self.last_mem = self.with_node(|n| *n.mem_stats());
         self.tracing = true;
-        self.machine.trace.rank_enter();
         // Surface this node's scheduled faults at the head of the
         // stream, so a perturbed timeline is self-explaining.
         if let Some(plan) = &self.machine.spec().faults {

@@ -77,11 +77,16 @@ pub enum CounterPolicy {
     },
 }
 
+/// Baseline dwell (phases per mode) of the default multiplexing
+/// policy — the value the validation suite's reconstruction gate is
+/// tuned at.
+pub const DEFAULT_MUX_DWELL: u32 = 12;
+
 impl CounterPolicy {
     /// The default adaptive-multiplexing policy: start in mode 0,
-    /// dwell 8 phases per mode at baseline.
+    /// dwell [`DEFAULT_MUX_DWELL`] phases per mode at baseline.
     pub fn multiplexed() -> CounterPolicy {
-        CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 8 }
+        CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: DEFAULT_MUX_DWELL }
     }
 
     /// Mode assigned to `node` at job start.
@@ -183,12 +188,12 @@ pub struct JobSpec {
     /// available parallelism. Affects wall-clock only — counter dumps
     /// are byte-identical for every value, including 1.
     pub sim_threads: Option<usize>,
-    /// Whole-job tracing: arm every rank's flight recorder from cycle 0
-    /// with this configuration. `None` leaves tracing off (ranks can
-    /// still opt in later via `SessionBuilder::trace` /
-    /// `RankCtx::set_tracing`). Traces are deterministic: timestamped in
-    /// simulated cycles and byte-identical for every `sim_threads`
-    /// value.
+    /// Whole-job tracing, the job's one tracing switch: arm every
+    /// rank's flight recorder and the scheduler stream from cycle 0
+    /// with this configuration (recording iff `enabled`). `None` leaves
+    /// tracing off and [`Machine::job_trace`] returns `None`. Traces are
+    /// deterministic: timestamped in simulated cycles and byte-identical
+    /// for every `sim_threads` value.
     pub trace: Option<TraceConfig>,
     /// Periodic crash-safe checkpointing (`None` = off). Capture only
     /// reads machine state, so dumps, cycle counts and traces are
@@ -434,10 +439,7 @@ impl Machine {
             torus.set_fault_plan(Arc::clone(plan));
         }
         let node_of: Vec<usize> = (0..spec.ranks).map(|r| place(&spec, r).node.0).collect();
-        let trace = Arc::new(TraceState::new(node_of.clone()));
-        if let Some(cfg) = &spec.trace {
-            trace.configure(cfg).expect("first configure cannot diverge");
-        }
+        let trace = Arc::new(TraceState::new(node_of.clone(), spec.trace.as_ref()));
         let sched = PhaseEngine::new(node_of.clone(), n_nodes, spec.resolved_sim_threads());
         // Deadlock forensics: append the scheduler-trace tail and any
         // scheduled faults to the panic, and drop a sidecar report.
@@ -699,11 +701,10 @@ impl Machine {
         let mut guard = self.comm.lock();
         let comm = &mut *guard;
         let replaying = self.replay.load(Ordering::Acquire);
-        // Tracing check: read once per phase, while the machine is
-        // quiescent (every rank parked), so the answer is deterministic
-        // at phase granularity for any thread count. Replay records
-        // nothing: the trace rings are restored whole at go-live.
-        let tracing = !replaying && self.trace.sched_active();
+        // The scheduler stream records exactly when the job's trace
+        // config is enabled. Replay records nothing: the trace rings are
+        // restored whole at go-live.
+        let tracing = !replaying && self.spec.trace.as_ref().is_some_and(|c| c.enabled);
         let mut events: Vec<TraceEvent> = Vec::new();
         let mut delivered = 0u64;
         let mut delivered_bytes = 0u64;
@@ -1393,8 +1394,8 @@ fn deadlock_report(
     let recent = trace.recent_sched(DEADLOCK_TRACE_TAIL);
     if recent.is_empty() {
         out.push_str(
-            "scheduler trace: empty (enable tracing via JobSpec::trace or \
-             SessionBuilder::trace to capture phase timelines)\n",
+            "scheduler trace: empty (enable tracing via JobSpec::trace to \
+             capture phase timelines)\n",
         );
     } else {
         let _ = writeln!(out, "last {} scheduler events (newest last):", recent.len());
@@ -1554,6 +1555,43 @@ mod tests {
             "missing wait state:\n{report}"
         );
         assert!(report.contains("phase_resolve"), "missing scheduler trace tail:\n{report}");
+    }
+
+    #[test]
+    fn job_spec_trace_is_the_one_tracing_switch() {
+        let job = |trace: Option<TraceConfig>| {
+            let mut spec = JobSpec::new(8, OpMode::VirtualNode);
+            spec.trace = trace;
+            let m = Machine::new(spec);
+            m.run(|mut ctx| async move {
+                let right = (ctx.rank() + 1) % ctx.size();
+                let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+                ctx.send(right, 1, vec![0u8; 64]).await;
+                ctx.recv(Some(left), 1).await;
+                ctx.barrier().await;
+            });
+            m.job_trace()
+        };
+        assert!(job(None).is_none(), "no config, no trace");
+
+        let off = job(Some(TraceConfig { enabled: false, ..TraceConfig::default() }))
+            .expect("a configured job has a trace");
+        assert_eq!(off.ranks.len(), 8);
+        assert!(off.ranks.iter().all(|r| r.events.is_empty() && r.dropped == 0));
+        assert!(off.sched.is_empty() && off.sched_dropped == 0);
+
+        let on = job(Some(TraceConfig::default())).expect("traced");
+        let phases: Vec<u64> = on
+            .sched
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PhaseResolve { phase, .. } => Some(phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(phases.first(), Some(&0), "scheduler stream records from the first phase");
+        assert!(phases.windows(2).all(|w| w[1] == w[0] + 1), "no phase skipped: {phases:?}");
+        assert!(on.ranks.iter().all(|r| !r.events.is_empty()), "every rank records");
     }
 
     #[test]

@@ -235,12 +235,6 @@ impl PhaseTraffic {
         self.load.len()
     }
 
-    /// Total bytes committed across all links this phase (a transfer
-    /// crossing `h` links contributes `h × bytes`).
-    pub fn total_bytes(&self) -> u64 {
-        self.load.values().sum()
-    }
-
     /// Forget all link loads (phase boundary crossed).
     pub fn reset(&mut self) {
         self.load.clear();

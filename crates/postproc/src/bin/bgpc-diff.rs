@@ -10,30 +10,47 @@
 //! threshold (default 5%), sorted by relative change; useful for
 //! before/after comparisons of a flag, cache size, or mode switch.
 
+use bgp_arch::cli::ArgParser;
 use bgp_postproc::Frame;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut positional = Vec::new();
+const USAGE: &str = "usage: bgpc-diff <dir-a> <dir-b> [--set N] [--threshold PCT]";
+
+struct Args {
+    dirs: [PathBuf; 2],
+    set: u32,
+    threshold: f64,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut dirs = Vec::new();
     let mut set = 0u32;
     let mut threshold = 5.0f64;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    let mut p = ArgParser::from_env(USAGE);
+    while let Some(a) = p.next_flag()? {
         match a.as_str() {
-            "--set" => set = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--threshold" => {
-                threshold = it.next().and_then(|v| v.parse().ok()).unwrap_or(5.0)
-            }
-            other => positional.push(PathBuf::from(other)),
+            "--set" => set = p.parse(&a)?,
+            "--threshold" => threshold = p.parse(&a)?,
+            flag if flag.starts_with('-') => return Err(p.unexpected(flag)),
+            dir if dirs.len() < 2 => dirs.push(PathBuf::from(dir)),
+            other => return Err(p.unexpected(other)),
         }
     }
-    if positional.len() != 2 {
-        eprintln!("usage: bgpc-diff <dir-a> <dir-b> [--set N] [--threshold PCT]");
-        return ExitCode::FAILURE;
-    }
+    let dirs = <[PathBuf; 2]>::try_from(dirs).map_err(|_| p.missing("<dir-a> <dir-b>"))?;
+    Ok(Args { dirs, set, threshold })
+}
 
-    let frames: Vec<Frame> = match positional
+fn main() -> ExitCode {
+    let Args { dirs, set, threshold } = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    let frames: Vec<Frame> = match dirs
         .iter()
         .map(|p| {
             bgp_core::read_dumps(p)

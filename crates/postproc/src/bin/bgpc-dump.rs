@@ -3,7 +3,7 @@
 //! tools).
 //!
 //! ```text
-//! bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--json]
+//! bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--report] [--json]
 //! ```
 //!
 //! * default: summary per node + across-node statistics of the set's
@@ -27,6 +27,7 @@
 //! object (weights pooled across nodes) plus the counter `policy`
 //! recorded in `run.json` when present.
 
+use bgp_arch::cli::ArgParser;
 use bgp_arch::events::{EventId, NUM_MODES};
 use bgp_core::dump::NodeDump;
 use bgp_postproc::{stats_csv, EventStats, Frame};
@@ -44,6 +45,9 @@ struct Args {
     top: usize,
 }
 
+const USAGE: &str =
+    "usage: bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--report] [--json]";
+
 fn parse_args() -> Result<Args, String> {
     let mut input = None;
     let mut set = 0;
@@ -52,33 +56,18 @@ fn parse_args() -> Result<Args, String> {
     let mut report = false;
     let mut json = false;
     let mut top = 20;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    let mut p = ArgParser::from_env(USAGE);
+    while let Some(a) = p.next_flag()? {
         match a.as_str() {
-            "--set" => {
-                set = it
-                    .next()
-                    .ok_or("--set needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--set: {e}"))?;
-            }
-            "--csv" => csv = Some(PathBuf::from(it.next().ok_or("--csv needs a path")?)),
+            "--set" => set = p.parse(&a)?,
+            "--csv" => csv = Some(p.path(&a)?),
             "--all" => all = true,
             "--report" => report = true,
             "--json" => json = true,
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--json]"
-                    .into());
-            }
-            other if input.is_none() => input = Some(PathBuf::from(other)),
-            other => return Err(format!("unexpected argument {other}")),
+            "--top" => top = p.parse(&a)?,
+            flag if flag.starts_with('-') => return Err(p.unexpected(flag)),
+            path if input.is_none() => input = Some(PathBuf::from(path)),
+            other => return Err(p.unexpected(other)),
         }
     }
     Ok(Args {

@@ -186,19 +186,9 @@ impl DegradedFrame {
         self.records
     }
 
-    /// Surviving nodes observed in `mode`.
-    pub fn observed_in_mode(&self, mode: CounterMode) -> usize {
-        self.observed_by_mode[mode.index()]
-    }
-
     /// Per-event degraded statistics.
     pub fn stats(&self, ev: EventId) -> Option<&DegradedEventStats> {
         self.per_event.get(&ev)
-    }
-
-    /// Coverage of one event (0 when no node delivered it).
-    pub fn coverage_of(&self, ev: EventId) -> f64 {
-        self.per_event.get(&ev).map_or(0.0, |s| s.coverage)
     }
 
     /// Overall node coverage: surviving observers over the expected

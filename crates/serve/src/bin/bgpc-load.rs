@@ -145,7 +145,7 @@ fn main() -> ExitCode {
     let result = match &args.op {
         Op::Once => run_once(&args),
         Op::Admin(req) => {
-            match bgp_serve::request_once(args.addr, &req.encode()) {
+            match Client::connect(args.addr).and_then(|mut c| c.request(&req.encode())) {
                 Ok(resp) => {
                     println!("{resp}");
                     Ok(())

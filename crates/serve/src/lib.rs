@@ -41,4 +41,4 @@ pub mod server;
 pub use load::{run_load, Client, LoadConfig, LoadReport};
 pub use proto::{CacheOutcome, Request, SubmitReq};
 pub use queue::{JobQueue, PushError, QueueConfig};
-pub use server::{request_once, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};

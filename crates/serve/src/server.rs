@@ -23,6 +23,7 @@
 //!    store; every waiter (submitter + joiners) is notified and the
 //!    key leaves the in-flight table, so later submits hit the cache.
 
+use crate::load::Client;
 use crate::proto::{
     mode_token, CacheOutcome, ParseError, Request, SubmitReq, PROTO_VERSION,
 };
@@ -318,34 +319,9 @@ impl ServerHandle {
     /// Request a graceful shutdown (drain admitted jobs, then exit)
     /// and wait for the server thread to finish.
     pub fn shutdown(self) {
-        let _ = request_once(self.addr, &Request::Shutdown.encode());
+        let _ = Client::connect(self.addr)
+            .and_then(|mut c| c.request(&Request::Shutdown.encode()));
         let _ = self.join.join();
-    }
-}
-
-/// One-shot client helper: connect, send `line`, read the terminal
-/// response line (update lines are skipped).
-///
-/// # Errors
-/// [`std::io::Error`] on connect/read/write failure or a closed socket.
-pub fn request_once(addr: SocketAddr, line: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before the terminal response",
-            ));
-        }
-        if !buf.trim_start().starts_with("{\"update\"") {
-            return Ok(buf.trim_end().to_string());
-        }
     }
 }
 

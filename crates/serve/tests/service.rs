@@ -6,7 +6,7 @@
 use bgp_serve::load::{str_member, u64_member};
 use bgp_nas::Kernel;
 use bgp_serve::proto::{result_payload, Request, SubmitReq};
-use bgp_serve::{request_once, Client, QueueConfig, Server, ServerConfig, ServerHandle};
+use bgp_serve::{Client, QueueConfig, Server, ServerConfig, ServerHandle};
 
 fn quiet_cfg() -> ServerConfig {
     ServerConfig { quiet: true, ..ServerConfig::default() }
@@ -97,7 +97,7 @@ fn concurrent_identical_submits_run_once() {
         .count();
     assert!(misses <= 1, "at most one submission runs the job");
 
-    let stats = request_once(addr, &Request::Stats.encode()).unwrap();
+    let stats = Client::connect(addr).unwrap().request(&Request::Stats.encode()).unwrap();
     assert_eq!(u64_member(&stats, "completed"), Some(1), "job ran once: {stats}");
     server.shutdown();
 }

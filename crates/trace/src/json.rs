@@ -112,7 +112,7 @@ pub const MAX_DEPTH: usize = 128;
 /// Returns a message with the byte offset of the first syntax error, or
 /// of the first container nested deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src, bytes: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -123,6 +123,9 @@ pub fn parse(src: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    /// The document; already valid UTF-8, so slicing it at ASCII
+    /// delimiters needs no second validation.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers currently open.
@@ -197,8 +200,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        let raw = &self.src[start..self.pos];
         if raw.is_empty() || raw == "-" {
             return Err(format!("invalid number at byte {start}"));
         }
@@ -228,9 +230,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
@@ -244,12 +245,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash. Both are ASCII, so the run
+                    // ends on a char boundary; with neither left, the
+                    // run is the rest of the input and the next peek
+                    // reports the string unterminated.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -468,6 +472,22 @@ mod tests {
         let doc = format!("{{\"s\": {}}}", escape(original));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn long_string_member_parses_in_linear_time() {
+        // One 4 MiB member, multi-byte characters and escapes included:
+        // re-validating the rest of the input per character made this
+        // quadratic (minutes in a debug build).
+        let chunk = "plain ascii \u{263a} \"q\" \\ tab\t ";
+        let long = chunk.repeat((4 << 20) / chunk.len() + 1);
+        let doc = Obj::new().field_str("blob", &long).field_u64("n", 7).finish();
+        let t = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = t.elapsed();
+        assert_eq!(v.get("blob").unwrap().as_str(), Some(long.as_str()));
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
+        assert!(took < std::time::Duration::from_secs(2), "4 MiB string took {took:?}");
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub use ring::RingBuffer;
 
 use bgp_arch::sync::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default per-recorder ring capacity (events).
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -46,16 +45,14 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// Default counter/memory sampling period (quantum windows).
 pub const DEFAULT_SAMPLE_EVERY: u64 = 16;
 
-/// Tracing configuration, carried by `JobSpec::trace` (whole-job
-/// tracing from cycle 0) or `SessionBuilder::trace` (per-rank runtime
-/// enable). All ranks of a job must agree on the configuration; the
-/// `enabled` flag is the runtime toggle — a configured-but-disabled
-/// job pays only a per-event branch, measured at well under 1 % (see
-/// `fig_ext_trace_overhead`).
+/// Tracing configuration, carried by `JobSpec::trace` — the one switch
+/// that traces a whole job from cycle 0, with no per-rank source
+/// changes. A configured-but-disabled job pays only a per-event
+/// branch, measured at well under 1 % (see `fig_ext_trace_overhead`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Start recording immediately. `false` arms the recorders but
-    /// leaves them off until `RankCtx::set_tracing(true)`.
+    /// Record events. `false` sizes the recorders but records nothing:
+    /// the job's trace exists with every stream empty.
     pub enabled: bool,
     /// Ring capacity per recorder (events). 0 records nothing.
     pub capacity: usize,
@@ -470,11 +467,6 @@ impl Recorder {
         self.ring.dropped()
     }
 
-    /// Resize the backing ring (startup configuration).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.ring.set_capacity(capacity);
-    }
-
     /// All retained events, oldest → newest.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.ring.to_vec()
@@ -492,83 +484,31 @@ impl Recorder {
 /// cross-thread ordering.
 pub struct TraceState {
     node_of: Vec<usize>,
-    config: Mutex<Option<TraceConfig>>,
-    /// Ranks currently recording. The scheduler stream records while
-    /// this is non-zero; enables/disables land at phase granularity, so
-    /// the count observed at any resolution is deterministic.
-    active: AtomicUsize,
+    /// The job carried a [`TraceConfig`]; without one the rings have
+    /// capacity 0 and [`TraceState::snapshot`] returns `None`.
+    configured: bool,
     pub(crate) ranks: Vec<Mutex<Recorder>>,
     pub(crate) sched: Mutex<Recorder>,
 }
 
 impl TraceState {
-    /// Unconfigured state for a job whose rank `r` lives on node
-    /// `node_of[r]`. Recorders start with capacity 0 (record nothing)
-    /// until [`TraceState::configure`] arms them.
-    pub fn new(node_of: Vec<usize>) -> TraceState {
+    /// Trace state for a job whose rank `r` lives on node `node_of[r]`,
+    /// with rings sized by the job's configuration `cfg`. Without one
+    /// every ring has capacity 0 (records nothing).
+    pub fn new(node_of: Vec<usize>, cfg: Option<&TraceConfig>) -> TraceState {
+        let capacity = cfg.map_or(0, |c| c.capacity);
         let n = node_of.len();
         TraceState {
             node_of,
-            config: Mutex::new(None),
-            active: AtomicUsize::new(0),
-            ranks: (0..n).map(|_| Mutex::new(Recorder::new(0))).collect(),
-            sched: Mutex::new(Recorder::new(0)),
+            configured: cfg.is_some(),
+            ranks: (0..n).map(|_| Mutex::new(Recorder::new(capacity))).collect(),
+            sched: Mutex::new(Recorder::new(capacity)),
         }
-    }
-
-    /// Install `cfg`, or verify it equals the configuration already
-    /// installed (all ranks of a job must agree — divergent configs
-    /// would make the recorded streams ambiguous).
-    ///
-    /// # Errors
-    /// Returns a description of the divergence.
-    pub fn configure(&self, cfg: &TraceConfig) -> Result<(), String> {
-        let mut cur = self.config.lock();
-        match &*cur {
-            None => {
-                for r in &self.ranks {
-                    r.lock().set_capacity(cfg.capacity);
-                }
-                self.sched.lock().set_capacity(cfg.capacity);
-                *cur = Some(cfg.clone());
-                Ok(())
-            }
-            Some(existing) if existing == cfg => Ok(()),
-            Some(existing) => Err(format!(
-                "divergent trace config across ranks: {existing:?} vs {cfg:?}"
-            )),
-        }
-    }
-
-    /// The installed configuration, if any.
-    pub fn config(&self) -> Option<TraceConfig> {
-        self.config.lock().clone()
-    }
-
-    /// A rank turned its recording on.
-    pub fn rank_enter(&self) {
-        self.active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A rank turned its recording off.
-    pub fn rank_leave(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Whether the scheduler stream should record (any rank tracing).
-    /// Read only at phase resolution, where the machine is quiescent.
-    pub fn sched_active(&self) -> bool {
-        self.active.load(Ordering::Relaxed) > 0
     }
 
     /// Record into `rank`'s stream.
     pub fn record_rank(&self, rank: usize, cycle: u64, kind: EventKind) {
         self.ranks[rank].lock().record(cycle, kind);
-    }
-
-    /// Record into the scheduler stream.
-    pub fn record_sched(&self, cycle: u64, kind: EventKind) {
-        self.sched.lock().record(cycle, kind);
     }
 
     /// Append a batch to the scheduler stream under one lock.
@@ -591,9 +531,11 @@ impl TraceState {
     }
 
     /// Clone the retained streams into an exportable [`JobTrace`].
-    /// Returns `None` if tracing was never configured.
+    /// Returns `None` if the job carried no [`TraceConfig`].
     pub fn snapshot(&self) -> Option<JobTrace> {
-        self.config.lock().as_ref()?;
+        if !self.configured {
+            return None;
+        }
         let ranks = self
             .ranks
             .iter()
@@ -672,34 +614,11 @@ mod tests {
     }
 
     #[test]
-    fn configure_is_set_or_verify() {
-        let st = TraceState::new(vec![0, 0]);
-        let cfg = TraceConfig::default();
-        assert!(st.configure(&cfg).is_ok());
-        assert!(st.configure(&cfg).is_ok(), "same config re-arrives from peers");
-        let divergent = TraceConfig { sample_every: 99, ..cfg };
-        let err = st.configure(&divergent).unwrap_err();
-        assert!(err.contains("divergent"), "got: {err}");
-    }
-
-    #[test]
     fn unconfigured_state_records_nothing_and_snapshots_none() {
-        let st = TraceState::new(vec![0]);
+        let st = TraceState::new(vec![0], None);
         st.record_rank(0, 5, EventKind::RankWake);
         assert!(st.snapshot().is_none());
         assert_eq!(st.events_recorded(), 0, "capacity-0 rings drop everything");
-    }
-
-    #[test]
-    fn sched_stream_tracks_active_rank_count() {
-        let st = TraceState::new(vec![0, 1]);
-        assert!(!st.sched_active());
-        st.rank_enter();
-        st.rank_enter();
-        st.rank_leave();
-        assert!(st.sched_active(), "one rank still tracing");
-        st.rank_leave();
-        assert!(!st.sched_active());
     }
 
     #[test]
@@ -707,8 +626,8 @@ mod tests {
         // 8 ranks record 200 events each from their own threads; the
         // interleaving of threads must be invisible: every rank stream
         // comes back exactly as its rank wrote it, in program order.
-        let st = Arc::new(TraceState::new((0..8).collect()));
-        st.configure(&TraceConfig { capacity: 64, ..TraceConfig::default() }).unwrap();
+        let cfg = TraceConfig { capacity: 64, ..TraceConfig::default() };
+        let st = Arc::new(TraceState::new((0..8).collect(), Some(&cfg)));
         std::thread::scope(|s| {
             for rank in 0..8usize {
                 let st = Arc::clone(&st);

@@ -115,9 +115,6 @@ echo "==> snapshot overhead gate (checkpoint every 64 phases < 5%, Default scale
 # records the acceptance-criterion numbers; ~1 min.
 BGP_RESULTS_DIR="$trace_dir" target/release/repro_all fig_ext_snapshot --gate
 
-echo "==> cargo bench smoke"
-BGP_BENCH_SAMPLES=1 cargo bench --workspace 2>&1 | tail -n 20
-
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
