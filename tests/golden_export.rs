@@ -2,7 +2,13 @@
 //! matrix, hashed and compared against `tests/golden/digests.txt`.
 //!
 //! The matrix is all 8 NAS kernels × {clean, faulted, traced,
-//! multiplexed} at class S on 8 VNM ranks. Each line of the digest file
+//! multiplexed} at class S on 8 VNM ranks, plus a small-quantum arm:
+//! MG, IS and CG built with the baseline flags (every element pair
+//! scalar, redundant reloads on) under fixed counter mode 2, at
+//! scheduling quanta of 1 and 2 accesses. Mode 2 counts the shared
+//! L3/DDR events, which see how same-node ranks interleave, so those
+//! lines pin the exact point every quantum boundary falls — including a
+//! scalar pair that crosses two boundaries. Each line of the digest file
 //! names one job and carries the [`bgp::arch::wire::checksum`] of its
 //! concatenated node dumps, its `job_cycles`, and — for the traced
 //! variant — the checksums of its Perfetto `trace.json` and
@@ -14,6 +20,7 @@
 use bgp::arch::events::CounterMode;
 use bgp::arch::wire::checksum;
 use bgp::arch::OpMode;
+use bgp::compiler::CompileOpts;
 use bgp::counters::run_instrumented;
 use bgp::faults::{FaultPlan, FaultSpec};
 use bgp::mpi::CounterPolicy;
@@ -34,6 +41,11 @@ const KERNELS: [Kernel; 8] = [
 ];
 
 const VARIANTS: [&str; 4] = ["clean", "faulted", "traced", "mux"];
+
+/// The small-quantum arm: kernels × quanta, each job a `quantum=N`
+/// variant line after the main matrix.
+const QUANTUM_KERNELS: [Kernel; 3] = [Kernel::Mg, Kernel::Is, Kernel::Cg];
+const QUANTA: [u64; 2] = [1, 2];
 
 /// Run one job of the matrix and return its digest line.
 fn digest_line(kernel: Kernel, variant: &str) -> String {
@@ -66,7 +78,12 @@ fn digest_line(kernel: Kernel, variant: &str) -> String {
             spec.counter_policy =
                 CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 };
         }
-        other => unreachable!("unknown variant {other}"),
+        other => {
+            let q = other.strip_prefix("quantum=").expect("unknown variant");
+            spec.quantum = q.parse().expect("numeric quantum");
+            spec.compile = CompileOpts::baseline();
+            spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode2);
+        }
     }
     let machine = Machine::new(spec);
     let (out, lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
@@ -91,18 +108,25 @@ fn digest_line(kernel: Kernel, variant: &str) -> String {
 fn golden_digests_match_committed_oracle() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/digests.txt");
     let expected = std::fs::read_to_string(path).unwrap_or_default();
-    // One host thread per kernel; each job stays single-threaded, so the
-    // lines come out identical regardless of host parallelism.
+    // One host thread per kernel (and per small-quantum kernel); each job
+    // stays single-threaded, so the lines come out identical regardless
+    // of host parallelism.
     let actual: String = std::thread::scope(|s| {
-        let per_kernel: Vec<_> = KERNELS
-            .iter()
-            .map(|&k| {
-                s.spawn(move || {
-                    VARIANTS.iter().map(|&v| digest_line(k, v) + "\n").collect::<String>()
-                })
+        let main = KERNELS.iter().map(|&k| {
+            s.spawn(move || {
+                VARIANTS.iter().map(|&v| digest_line(k, v) + "\n").collect::<String>()
             })
-            .collect();
-        per_kernel.into_iter().map(|h| h.join().expect("golden job panicked")).collect()
+        });
+        let quantum = QUANTUM_KERNELS.iter().map(|&k| {
+            s.spawn(move || {
+                QUANTA
+                    .iter()
+                    .map(|q| digest_line(k, &format!("quantum={q}")) + "\n")
+                    .collect::<String>()
+            })
+        });
+        let jobs: Vec<_> = main.chain(quantum).collect();
+        jobs.into_iter().map(|h| h.join().expect("golden job panicked")).collect()
     });
     if actual != expected {
         let diverged: Vec<&str> =
