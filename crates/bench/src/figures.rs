@@ -447,23 +447,38 @@ fn timing_reps(scale: Scale) -> usize {
     }
 }
 
-/// Best-of-`reps` host time of each of `n` configurations: one untimed
-/// warm-up run of the first (cold caches, allocator growth), then the
-/// reps interleave the configurations round-robin so host drift hits
-/// all of them equally. `run(i)` times its own job, so setup outside
-/// the timed region stays out, and returns `(ms, payload)`; each
-/// configuration keeps its last payload.
-fn min_of_reps<T>(reps: usize, n: usize, mut run: impl FnMut(usize) -> (f64, T)) -> Vec<(f64, T)> {
+/// One configuration's host times over the reps of [`min_of_reps`].
+struct Reps<T> {
+    /// The fastest rep (ms).
+    min_ms: f64,
+    /// Slowest minus fastest rep (ms): how far to trust `min_ms`.
+    spread_ms: f64,
+    /// The last rep's payload.
+    payload: T,
+}
+
+/// Best-of-`reps` host time of each of `n` configurations, with the
+/// spread across the reps: one untimed warm-up run of the first (cold
+/// caches, allocator growth), then the reps interleave the
+/// configurations round-robin so host drift hits all of them equally.
+/// `run(i)` times its own job, so setup outside the timed region stays
+/// out, and returns `(ms, payload)`.
+fn min_of_reps<T>(reps: usize, n: usize, mut run: impl FnMut(usize) -> (f64, T)) -> Vec<Reps<T>> {
     run(0);
-    let mut best: Vec<Option<(f64, T)>> = (0..n).map(|_| None).collect();
+    let mut best: Vec<Option<(f64, f64, T)>> = (0..n).map(|_| None).collect();
     for _ in 0..reps.max(1) {
         for (i, slot) in best.iter_mut().enumerate() {
             let (ms, payload) = run(i);
-            let min = slot.as_ref().map_or(ms, |(b, _)| b.min(ms));
-            *slot = Some((min, payload));
+            let (min, max) = slot.as_ref().map_or((ms, ms), |&(lo, hi, _)| (lo.min(ms), hi.max(ms)));
+            *slot = Some((min, max, payload));
         }
     }
-    best.into_iter().map(|s| s.expect("at least one rep")).collect()
+    best.into_iter()
+        .map(|s| {
+            let (min_ms, max_ms, payload) = s.expect("at least one rep");
+            Reps { min_ms, spread_ms: max_ms - min_ms, payload }
+        })
+        .collect()
 }
 
 /// Slowdown of `ms` over `base_ms`, percent, clamped at 0 (host timing
@@ -564,17 +579,25 @@ pub fn fig_ext_trace_overhead(scale: Scale) -> Report {
             machine.job_trace().map_or((0, 0), |t| (t.total_events() as u64, t.total_dropped()));
         (wall_ms, counts)
     });
-    let mut csv =
-        Csv::new(["trace_config", "wall_ms", "overhead_pct", "events_recorded", "events_dropped"]);
+    let mut csv = Csv::new([
+        "trace_config",
+        "wall_ms",
+        "spread_ms",
+        "overhead_pct",
+        "events_recorded",
+        "events_dropped",
+    ]);
     let mut disabled_pct = 0.0;
-    for ((label, _), (wall_ms, (events, dropped))) in configs.iter().zip(&best) {
-        let pct = overhead_pct(*wall_ms, best[0].0);
+    for ((label, _), rep) in configs.iter().zip(&best) {
+        let pct = overhead_pct(rep.min_ms, best[0].min_ms);
+        let (events, dropped) = rep.payload;
         if *label == "disabled" {
             disabled_pct = pct;
         }
         csv.row([
             label.to_string(),
-            format!("{wall_ms:.1}"),
+            format!("{:.1}", rep.min_ms),
+            format!("{:.1}", rep.spread_ms),
             format!("{pct:.2}"),
             events.to_string(),
             dropped.to_string(),
@@ -645,21 +668,38 @@ pub fn fig_ext_snapshot(scale: Scale) -> Report {
     assert!(results.iter().all(|r| r.verified), "resumed MG verification failed");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut csv =
-        Csv::new(["config", "wall_ms", "overhead_pct", "snapshots", "mean_bytes", "save_ms"]);
-    let pct = overhead_pct(best[1].0, best[0].0);
-    for (label, (wall_ms, stats)) in ["off", "every64"].into_iter().zip(&best) {
+    let mut csv = Csv::new([
+        "config",
+        "wall_ms",
+        "spread_ms",
+        "overhead_pct",
+        "snapshots",
+        "mean_bytes",
+        "save_ms",
+    ]);
+    let pct = overhead_pct(best[1].min_ms, best[0].min_ms);
+    for (label, rep) in ["off", "every64"].into_iter().zip(&best) {
+        let stats = &rep.payload;
         csv.row([
             label.to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{:.2}", overhead_pct(*wall_ms, best[0].0)),
+            format!("{:.1}", rep.min_ms),
+            format!("{:.1}", rep.spread_ms),
+            format!("{:.2}", overhead_pct(rep.min_ms, best[0].min_ms)),
             stats.written.to_string(),
             (stats.bytes / stats.written.max(1)).to_string(),
             format!("{:.1}", stats.save_nanos as f64 / 1e6),
         ]);
     }
     let configs = csv_rows(&csv);
-    csv.row(["resume".to_string(), format!("{resume_ms:.1}"), "".into(), "".into(), "".into(), "".into()]);
+    csv.row([
+        "resume".to_string(),
+        format!("{resume_ms:.1}"),
+        "".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+    ]);
     let bench = Bench::new("BENCH_snapshot.json", "fig_ext_snapshot (MG, VNM, min-of-reps)", scale)
         .str("gate", &format!("every64 overhead_pct < {SNAPSHOT_GATE_PCT}"))
         .cell("resume_ms", &format!("{resume_ms:.1}"))
@@ -694,14 +734,16 @@ const MEM_GATE_SPEEDUP: f64 = 1.5;
 /// The same access stream is driven through [`bgp_node::Node::mem_op`]
 /// — icache probe, hierarchy walk, retirement and counter sync per
 /// access — and through [`bgp_node::Node::mem_ops`] in quantum-sized
-/// slices. The stream mirrors the NAS mix — three unit-stride double
+/// slices, each pre-translated with its per-class tally as the rank
+/// context builds them at issue time. The stream mirrors the NAS mix — three unit-stride double
 /// sweeps for every random-footprint burst — so the same-line run
 /// memoization is exercised at its real duty cycle, not a best case.
 /// Recorded in `BENCH_mem.json`.
 pub fn fig_ext_memthroughput(scale: Scale) -> Report {
     use bgp_arch::events::CounterMode as CMode;
     use bgp_arch::{MachineConfig, NodeId};
-    use bgp_node::{MemOp, MemWidth, Node};
+    use bgp_mem::MemAccess;
+    use bgp_node::{MemRetire, MemWidth, Node};
 
     let n_accesses = match scale {
         Scale::Quick => 1usize << 20,
@@ -711,7 +753,8 @@ pub fn fig_ext_memthroughput(scale: Scale) -> Report {
     // fields (u read with spatial reuse, rhs streamed, res written) —
     // mostly L1 hits with unit-stride runs, as in the MG/LU/SP inner
     // loops — broken up by scattered accesses (index vectors,
-    // histograms) at roughly their NAS duty cycle.
+    // histograms) at roughly their NAS duty cycle. Every access is a
+    // double of process 0, whose virtual and physical addresses agree.
     let mut stream = Vec::with_capacity(n_accesses + 8);
     let mut x = 0x1234_5678_9ABC_DEF0u64;
     const NX: u64 = 512;
@@ -723,24 +766,31 @@ pub fn fig_ext_memthroughput(scale: Scale) -> Report {
         for _ in 0..16 {
             let p = (idx % (1 << 20)) * 8;
             for off in [p - NX * 8, p - 8, p, p + 8, p + NX * 8] {
-                stream.push(MemOp { vaddr: U + off, width: MemWidth::Double, write: false });
+                stream.push(MemAccess { addr: U + off, write: false });
             }
-            stream.push(MemOp { vaddr: RHS + p, width: MemWidth::Double, write: false });
-            stream.push(MemOp { vaddr: RES + p, width: MemWidth::Double, write: true });
+            stream.push(MemAccess { addr: RHS + p, write: false });
+            stream.push(MemAccess { addr: RES + p, write: true });
             idx += 1;
         }
         for _ in 0..14 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            stream.push(MemOp {
-                vaddr: ((x >> 9) % (8 << 20)) & !7,
-                width: MemWidth::Double,
-                write: x & 7 == 0,
-            });
+            stream.push(MemAccess { addr: ((x >> 9) % (8 << 20)) & !7, write: x & 7 == 0 });
         }
     }
     stream.truncate(n_accesses);
+    const SLICE: usize = 2048;
+    let tallies: Vec<MemRetire> = stream
+        .chunks(SLICE)
+        .map(|c| {
+            let mut retire = MemRetire::default();
+            for a in c {
+                retire.add(MemWidth::Double, a.write, 1);
+            }
+            retire
+        })
+        .collect();
 
     // Both engines see the identical stream on a fresh node.
     let engines = min_of_reps(timing_reps(scale), 2, |batched| {
@@ -749,19 +799,19 @@ pub fn fig_ext_memthroughput(scale: Scale) -> Report {
         node.upc_mut().set_enabled(true);
         let t0 = Instant::now();
         if batched == 1 {
-            for c in stream.chunks(2048) {
-                node.mem_ops(0, 0, c);
+            for (c, retire) in stream.chunks(SLICE).zip(&tallies) {
+                node.mem_ops(0, c, retire);
             }
         } else {
-            for op in &stream {
-                node.mem_op(0, 0, op.vaddr, op.width, op.write);
+            for a in &stream {
+                node.mem_op(0, 0, a.addr, MemWidth::Double, a.write);
             }
         }
         std::hint::black_box(node.core(0).cycles());
         (t0.elapsed().as_secs_f64() * 1e3, ())
     });
-    let scalar_maps = n_accesses as f64 / engines[0].0 / 1e3;
-    let batched_maps = n_accesses as f64 / engines[1].0 / 1e3;
+    let scalar_maps = n_accesses as f64 / engines[0].min_ms / 1e3;
+    let batched_maps = n_accesses as f64 / engines[1].min_ms / 1e3;
     let speedup = batched_maps / scalar_maps;
 
     // End-to-end: the acceptance job (MG class A on 16 VNM ranks at
@@ -784,10 +834,13 @@ pub fn fig_ext_memthroughput(scale: Scale) -> Report {
     let mut csv = Csv::new(["measure", "value"]);
     csv.row(["scalar_maccesses_per_s".into(), format!("{scalar_maps:.1}")]);
     csv.row(["batched_maccesses_per_s".into(), format!("{batched_maps:.1}")]);
+    csv.row(["scalar_spread_ms".into(), format!("{:.1}", engines[0].spread_ms)]);
+    csv.row(["batched_spread_ms".into(), format!("{:.1}", engines[1].spread_ms)]);
     csv.row(["batch_speedup".into(), format!("{speedup:.2}")]);
     csv.row(["mg_class".into(), format!("{class:?}")]);
     csv.row(["mg_ranks".into(), ranks.to_string()]);
-    csv.row(["mg_wall_ms".into(), format!("{:.0}", mg[0].0)]);
+    csv.row(["mg_wall_ms".into(), format!("{:.0}", mg[0].min_ms)]);
+    csv.row(["mg_spread_ms".into(), format!("{:.0}", mg[0].spread_ms)]);
     let bench = Bench::new(
         "BENCH_mem.json",
         "fig_ext_memthroughput (mixed stride/random stream + MG end-to-end, min-of-reps)",

@@ -5,8 +5,8 @@
 //!
 //! * *memory*: allocate [`SimVec`]s and access elements (each access
 //!   walks the node's cache hierarchy and retires a load/store) —
-//!   accesses are `async` because every one may cross a scheduling
-//!   quantum,
+//!   accesses return an [`Access`] future because every one may cross a
+//!   scheduling quantum,
 //! * *arithmetic*: retire the FP instructions the modeled compiler
 //!   selects for each semantic operation ([`RankCtx::fp_pair`] and
 //!   friends consult the build's [`bgp_compiler::CodeGen`]) — these
@@ -35,6 +35,23 @@
 //! the batched timeline is observationally identical to per-op
 //! retirement; `tests/determinism.rs` and the differential suites in
 //! `bgp-mem`/`bgp-node` pin this.
+//!
+//! ## Issuing accesses
+//!
+//! The load/store helpers ([`RankCtx::ld`], [`RankCtx::st`],
+//! [`RankCtx::ld2`], [`RankCtx::st2`], [`RankCtx::ld_range`],
+//! [`RankCtx::st_range`], [`RankCtx::st_fill`]) are plain functions
+//! returning one [`Access`] future. **Issue is eager up to the first
+//! quantum crossing; await at once.** The call itself ticks and queues
+//! every access — already translated to a node-physical address, with
+//! its instruction class tallied — so the common access costs a few
+//! register operations and its `.await` is a single branch. An access
+//! whose tick reaches the quantum stops the issue there: the call
+//! retires the closing window, and the `Access` owes one yield. Once
+//! resumed it queues that access (without ticking it again) and issues
+//! the rest, which may stop at the next crossing in turn. The `Access`
+//! borrows the context mutably until it is dropped, so nothing can
+//! touch the rank between the eager part and the `.await`.
 
 use crate::comm::{bytes_to_f64s, f64s_to_bytes, CollKind, Payload, ReduceOp};
 use crate::machine::{place, Machine, OutMsg, Placement, RankPublish};
@@ -43,11 +60,14 @@ use crate::simvec::{SimElem, SimVec};
 use bgp_arch::events::NetEvent;
 use bgp_compiler::{CodeGen, PairPlan};
 use bgp_fpu::FpOp;
-use bgp_mem::MemStats;
-use bgp_node::{MemOp, MemWidth, Node};
+use bgp_mem::{MemAccess, MemStats};
+use bgp_node::{MemRetire, MemWidth, Node};
 use bgp_trace::{EventKind, FaultEvent, TraceConfig, WaitKind};
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
 /// A semantic floating-point element operation, before instruction
 /// selection.
@@ -75,7 +95,10 @@ enum CpuOp {
 /// Ops queued by the active thread since the last flush point.
 #[derive(Default)]
 struct Pending {
-    mem: Vec<MemOp>,
+    /// Node-physical accesses, in issue order.
+    mem: Vec<MemAccess>,
+    /// Per-class tally of `mem`.
+    retire: MemRetire,
     cpu: Vec<CpuOp>,
 }
 
@@ -97,25 +120,22 @@ pub struct RankCtx {
     cg: CodeGen,
     alloc_cursor: u64,
     alloc_limit: u64,
+    /// Node-physical address of this process's virtual address 0: the
+    /// process's partition of the node's memory (what
+    /// `AddressLayout::physical` computes per access).
+    phys_base: u64,
     tick: u64,
     quantum: u64,
     coll_count: u64,
     /// Extra cycles charged at every scheduling boundary when this
     /// rank's node is a planned straggler (0 otherwise).
     straggler_penalty: u64,
-    /// Whether this rank records trace events. Rank-local, so the check
-    /// is a plain branch — the disabled path costs nothing measurable
-    /// (validated by `fig_ext_trace_overhead`).
-    tracing: bool,
-    /// Sample live counters / memory windows every this many quantum
-    /// windows (0 = never).
-    trace_sample_every: u64,
-    /// UPC slots sampled at each interval.
-    trace_slots: Vec<u8>,
-    /// Quantum windows completed while tracing.
-    windows: u64,
-    /// Node memory statistics at the last sample (for window deltas).
-    last_mem: MemStats,
+    /// The sampling state of a rank that records trace events (`None`
+    /// when tracing is off). Rank-local, so the check is a plain branch
+    /// — the disabled path costs nothing measurable (validated by
+    /// `fig_ext_trace_overhead`) — and boxed, so an untraced rank
+    /// carries one word for it.
+    trace: Option<Box<RankTrace>>,
     /// Resume replay: the kernel re-executes for its data effects only,
     /// with the cost model (retirement, cycle charges, UPC, tracing,
     /// network events) suppressed. Cached from the machine's flag and
@@ -130,6 +150,9 @@ pub struct RankCtx {
     /// `&self` observation paths ([`RankCtx::cycles`],
     /// [`RankCtx::with_own_node`]) can drain it before reading.
     pending: RefCell<Pending>,
+    /// The run of the live [`Access`] whose issue stopped at a quantum
+    /// crossing (`None` otherwise).
+    stopped: Option<Stopped>,
 }
 
 impl RankCtx {
@@ -157,18 +180,16 @@ impl RankCtx {
             cg,
             alloc_cursor: 0,
             alloc_limit,
+            phys_base: place.process as u64 * alloc_limit,
             tick: 0,
             quantum,
             coll_count: 0,
             straggler_penalty,
-            tracing: false,
-            trace_sample_every: 0,
-            trace_slots: Vec::new(),
-            windows: 0,
-            last_mem: MemStats::default(),
+            trace: None,
             replay,
             publish_state,
             pending: RefCell::new(Pending::default()),
+            stopped: None,
         }
         .with_size();
         // Whole-job tracing (JobSpec::trace) starts at cycle 0; the
@@ -341,9 +362,9 @@ impl RankCtx {
         if p.mem.is_empty() && p.cpu.is_empty() {
             return;
         }
-        let (core, process) = (self.core(), self.place.process);
+        let core = self.core();
         self.with_node(|node| {
-            node.mem_ops(core, process, &p.mem);
+            node.mem_ops(core, &p.mem, &p.retire);
             for op in &p.cpu {
                 match *op {
                     CpuOp::Fp { op, n } => node.fp_op(core, op, n),
@@ -355,6 +376,7 @@ impl RankCtx {
             }
         });
         p.mem.clear();
+        p.retire = MemRetire::default();
         p.cpu.clear();
     }
 
@@ -422,10 +444,12 @@ impl RankCtx {
     fn arm_tracing(&mut self, cfg: &TraceConfig) {
         // The baseline memory snapshot must include everything queued.
         self.flush_pending();
-        self.trace_sample_every = cfg.sample_every;
-        self.trace_slots = cfg.sample_slots.clone();
-        self.last_mem = self.with_node(|n| *n.mem_stats());
-        self.tracing = true;
+        self.trace = Some(Box::new(RankTrace {
+            sample_every: cfg.sample_every,
+            slots: cfg.sample_slots.clone(),
+            windows: 0,
+            last_mem: self.with_node(|n| *n.mem_stats()),
+        }));
         // Surface this node's scheduled faults at the head of the
         // stream, so a perturbed timeline is self-explaining.
         if let Some(plan) = &self.machine.spec().faults {
@@ -446,7 +470,7 @@ impl RankCtx {
     /// Record `kind` into this rank's stream, timestamped with the
     /// rank's core clock. A no-op unless tracing is on.
     pub fn trace_event(&self, kind: EventKind) {
-        if self.tracing && !self.replay {
+        if self.trace.is_some() && !self.replay {
             let cycle = self.cycles();
             self.machine.trace.record_rank(self.rank, cycle, kind);
         }
@@ -455,32 +479,27 @@ impl RankCtx {
     /// A quantum window closed while tracing: periodically sample live
     /// UPC counters and the node's memory-traffic window.
     fn trace_window_end(&mut self) {
-        self.windows += 1;
-        if self.trace_sample_every == 0
-            || !self.windows.is_multiple_of(self.trace_sample_every)
-        {
+        let Some(t) = self.trace.as_deref_mut() else { return };
+        t.windows += 1;
+        if t.sample_every == 0 || !t.windows.is_multiple_of(t.sample_every) {
             return;
         }
-        let core = self.core();
+        let core = self.place.core + self.active_thread;
         // Node-level memory stats are sampled by process 0 only, so a
         // VNM node doesn't report the same window four times.
         let sample_mem = self.place.process == 0;
-        let slots = &self.trace_slots;
-        let (cycle, mem_now, values) = self.with_node(|n| {
-            (
-                n.timebase(core),
-                sample_mem.then(|| *n.mem_stats()),
-                n.upc().read_slots(slots),
-            )
-        });
+        let (cycle, mem_now, values) = {
+            let n = self.machine.nodes[self.place.node.0].lock();
+            (n.timebase(core), sample_mem.then(|| *n.mem_stats()), n.upc().read_slots(&t.slots))
+        };
         if let Some(now) = mem_now {
-            let d = now.delta(&self.last_mem);
-            self.last_mem = now;
+            let d = now.delta(&t.last_mem);
+            t.last_mem = now;
             self.machine.trace.record_rank(
                 self.rank,
                 cycle,
                 EventKind::MemWindow {
-                    window: self.windows,
+                    window: t.windows,
                     l3_hits: d.l3_hits,
                     l3_misses: d.l3_misses,
                     ddr_reads: d.ddr_reads,
@@ -488,7 +507,7 @@ impl RankCtx {
                 },
             );
         }
-        for (&slot, value) in self.trace_slots.iter().zip(values) {
+        for (&slot, value) in t.slots.iter().zip(values) {
             self.machine.trace.record_rank(
                 self.rank,
                 cycle,
@@ -515,16 +534,15 @@ impl RankCtx {
     }
 
     /// A memory access crossed the scheduling quantum: close the window
-    /// and suspend (the cold side of the tick fast path in `mem`).
-    async fn quantum_boundary(&mut self) {
+    /// (the cold side of the tick fast path in [`RankCtx::access`]); the
+    /// caller then owes a yield.
+    #[cold]
+    fn close_window(&mut self) {
         self.tick = 0;
         // Retire the closing window's slice before it can be sampled
         // or another rank of this node takes its turn.
         self.flush_pending();
-        if self.tracing {
-            self.trace_window_end();
-        }
-        SuspendPoint::new(Suspend::Yield).await;
+        self.trace_window_end();
     }
 
     /// Park until a phase resolution satisfies `wait`: suspend with the
@@ -542,8 +560,10 @@ impl RankCtx {
         if self.publish_state && !self.replay {
             // A checkpoint capture may run while this rank is parked;
             // publish the rank-local fields it cannot otherwise see.
-            *self.machine.publish[self.rank].lock() =
-                RankPublish { windows: self.windows, last_mem: self.last_mem };
+            *self.machine.publish[self.rank].lock() = match &self.trace {
+                Some(t) => RankPublish { windows: t.windows, last_mem: t.last_mem },
+                None => RankPublish::default(),
+            };
         }
         SuspendPoint::new(Suspend::Park(wait)).await;
         self.tick = 0;
@@ -551,9 +571,13 @@ impl RankCtx {
             // Go-live: the resume snapshot was applied while everyone was
             // parked. Pull the restored rank-local state and run live
             // from the first instruction after this wake.
-            let p = *self.machine.publish[self.rank].lock();
-            self.windows = p.windows;
-            self.last_mem = p.last_mem;
+            // (Tracing is part of the spec fingerprint, so an untraced
+            // rank restores nothing but zeros.)
+            if let Some(t) = self.trace.as_deref_mut() {
+                let p = *self.machine.publish[self.rank].lock();
+                t.windows = p.windows;
+                t.last_mem = p.last_mem;
+            }
             self.replay = false;
         }
         self.trace_event(EventKind::RankWake);
@@ -583,43 +607,125 @@ impl RankCtx {
         SimVec::from_parts(vec![T::default(); n], base)
     }
 
-    #[inline]
-    async fn mem(&mut self, vaddr: u64, width: MemWidth, write: bool) {
+    /// Issue `n` accesses of `width`, `step` bytes apart from
+    /// process-virtual `vaddr`, and wrap what is left in an [`Access`]
+    /// resolving to `out`. The fast path — live, and no access of the
+    /// run reaches the quantum — is a tick add plus the queue pushes.
+    #[inline(always)]
+    fn access<T: Copy>(
+        &mut self,
+        vaddr: u64,
+        step: u64,
+        n: u64,
+        width: MemWidth,
+        write: bool,
+        out: T,
+    ) -> Access<'_, T> {
+        let mut run = Run { addr: self.phys_base + vaddr, step, left: n, width, write };
+        if self.replay || self.tick + n >= self.quantum {
+            return self.access_slow(run, out);
+        }
+        self.tick += n;
+        self.queue(&mut run, n);
+        Access { out, ctx: None }
+    }
+
+    /// [`RankCtx::access`] for a replayed run or one that reaches the
+    /// quantum.
+    #[cold]
+    #[inline(never)]
+    fn access_slow<T>(&mut self, mut run: Run, out: T) -> Access<'_, T> {
+        if self.issue(&mut run) {
+            self.stopped = Some(Stopped { run, yielded: false });
+            return Access { out, ctx: Some(self) };
+        }
+        Access { out, ctx: None }
+    }
+
+    /// Drive an issue stopped at a quantum crossing: yield once, then
+    /// queue the crossing access (ticked before the yield) and issue the
+    /// rest of the run, which may stop at the next crossing in turn.
+    #[cold]
+    #[inline(never)]
+    fn resume(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        let stopped = self.stopped.as_mut().expect("a live Access stopped at a crossing");
+        if !stopped.yielded {
+            stopped.yielded = true;
+            return Pin::new(&mut SuspendPoint::new(Suspend::Yield)).poll(cx);
+        }
+        let mut run = stopped.run;
+        self.queue(&mut run, 1);
+        if self.issue(&mut run) {
+            self.stopped = Some(Stopped { run, yielded: false });
+            return self.resume(cx);
+        }
+        self.stopped = None;
+        Poll::Ready(())
+    }
+
+    /// Issue the accesses of `run` in order until it is exhausted
+    /// (`false`) or an access's tick reaches the quantum (`true`). That
+    /// access stays at the head of `run`, not yet queued, and the window
+    /// it closes is already retired: the caller owes a yield, after
+    /// which it queues the access without a second tick.
+    fn issue(&mut self, run: &mut Run) -> bool {
         if self.replay {
             // No retirement, no quantum — but the codegen selectors are
             // stateful Bresenham streams, so the decision the live run
-            // consumed here must still be consumed.
-            let _ = self.cg.redundant_mem();
-            return;
+            // consumed for each access must still be consumed.
+            for _ in 0..run.left {
+                let _ = self.cg.redundant_mem();
+            }
+            run.left = 0;
+            return false;
         }
-        // Tick first so a boundary-crossing access lands in the window it
-        // opens (the per-op path retired after the boundary too).
-        self.tick += 1;
-        if self.tick >= self.quantum {
-            self.quantum_boundary().await;
+        // `tick < quantum` between accesses: every access up to the one
+        // whose tick reaches the quantum fits in the open window.
+        let room = (self.quantum - 1 - self.tick).min(run.left);
+        self.tick += room;
+        self.queue(run, room);
+        if run.left == 0 {
+            return false;
         }
-        let redundant = self.cg.redundant_mem();
+        // The next access's tick reaches the quantum. Close the window
+        // before queueing it, so it lands in the window it opens (the
+        // per-op path retired it after the boundary too).
+        self.close_window();
+        true
+    }
+
+    /// Queue the next `k` accesses of `run` (each with the redundant
+    /// reload the build may pair with it) and advance `run` past them.
+    #[inline(always)]
+    fn queue(&mut self, run: &mut Run, k: u64) {
         let p = self.pending.get_mut();
-        p.mem.push(MemOp { vaddr, width, write });
-        if redundant {
-            // Spill/reload pair of a register-starved build: reload
-            // the same datum (an extra issued load, usually L1-hot).
-            p.mem.push(MemOp { vaddr, width: MemWidth::Double, write: false });
+        p.retire.add(run.width, run.write, k);
+        for _ in 0..k {
+            p.mem.push(MemAccess { addr: run.addr, write: run.write });
+            if self.cg.redundant_mem() {
+                // Spill/reload pair of a register-starved build: reload
+                // the same datum (an extra issued load, usually L1-hot).
+                p.mem.push(MemAccess { addr: run.addr, write: false });
+                p.retire.add(MemWidth::Double, false, 1);
+            }
+            run.addr += run.step;
         }
+        run.left -= k;
     }
 
-    /// Simulated element load.
-    #[inline]
-    pub async fn ld<T: SimElem>(&mut self, v: &SimVec<T>, i: usize) -> T {
-        self.mem(v.addr(i), T::WIDTH, false).await;
-        v.raw(i)
+    /// Simulated element load. Issue is eager up to the first quantum
+    /// crossing; await the returned [`Access`] at once.
+    #[inline(always)]
+    pub fn ld<T: SimElem>(&mut self, v: &SimVec<T>, i: usize) -> Access<'_, T> {
+        self.access(v.addr(i), 0, 1, T::WIDTH, false, v.raw(i))
     }
 
-    /// Simulated element store.
-    #[inline]
-    pub async fn st<T: SimElem>(&mut self, v: &mut SimVec<T>, i: usize, x: T) {
-        self.mem(v.addr(i), T::WIDTH, true).await;
+    /// Simulated element store. Issue is eager up to the first quantum
+    /// crossing; await the returned [`Access`] at once.
+    #[inline(always)]
+    pub fn st<T: SimElem>(&mut self, v: &mut SimVec<T>, i: usize, x: T) -> Access<'_, ()> {
         *v.raw_mut(i) = x;
+        self.access(v.addr(i), 0, 1, T::WIDTH, true, ())
     }
 
     // ------------------------------------------------------------------
@@ -634,38 +740,52 @@ impl RankCtx {
     // hierarchy walk. Each is op-for-op identical to the equivalent
     // `ld`/`st` loop.
 
+    /// Issue a contiguous run over `v[r]` (nothing for an empty range).
+    #[inline(always)]
+    fn range<T: SimElem>(
+        &mut self,
+        v: &SimVec<T>,
+        r: core::ops::Range<usize>,
+        write: bool,
+    ) -> Access<'_, ()> {
+        debug_assert!(r.start <= r.end && r.end <= v.len());
+        let vaddr = v.base() + r.start as u64 * T::BYTES;
+        self.access(vaddr, T::BYTES, r.len() as u64, T::WIDTH, write, ())
+    }
+
     /// Charge sequential loads of `v[r]`; read the values back with
     /// [`SimVec::raw`] (free of simulated cost, like all host reads).
-    pub async fn ld_range<T: SimElem>(&mut self, v: &SimVec<T>, r: core::ops::Range<usize>) {
-        for i in r {
-            self.mem(v.addr(i), T::WIDTH, false).await;
-        }
+    #[inline(always)]
+    pub fn ld_range<T: SimElem>(
+        &mut self,
+        v: &SimVec<T>,
+        r: core::ops::Range<usize>,
+    ) -> Access<'_, ()> {
+        self.range(v, r, false)
     }
 
     /// Charge sequential stores to `v[r]`; the caller writes the values
     /// through [`SimVec::raw_mut`] (or already has).
-    pub async fn st_range<T: SimElem>(
+    #[inline(always)]
+    pub fn st_range<T: SimElem>(
         &mut self,
         v: &mut SimVec<T>,
         r: core::ops::Range<usize>,
-    ) {
-        for i in r {
-            self.mem(v.addr(i), T::WIDTH, true).await;
-        }
+    ) -> Access<'_, ()> {
+        self.range(v, r, true)
     }
 
     /// Store `x` to every element of `v[r]` — the memset-shaped pattern
     /// of field zeroing loops.
-    pub async fn st_fill<T: SimElem>(
+    #[inline(always)]
+    pub fn st_fill<T: SimElem>(
         &mut self,
         v: &mut SimVec<T>,
         r: core::ops::Range<usize>,
         x: T,
-    ) {
-        for i in r {
-            self.mem(v.addr(i), T::WIDTH, true).await;
-            *v.raw_mut(i) = x;
-        }
+    ) -> Access<'_, ()> {
+        v.as_mut_slice()[r.clone()].fill(x);
+        self.range(v, r, true)
     }
 
     // ------------------------------------------------------------------
@@ -681,30 +801,30 @@ impl RankCtx {
 
     /// Load elements `i`, `i+1` under `plan`: one quadload (SIMD) or two
     /// double loads (scalar).
-    #[inline]
-    pub async fn ld2(&mut self, v: &SimVec<f64>, i: usize, plan: PairPlan) -> (f64, f64) {
+    #[inline(always)]
+    pub fn ld2(&mut self, v: &SimVec<f64>, i: usize, plan: PairPlan) -> Access<'_, (f64, f64)> {
+        let x = (v.raw(i), v.raw(i + 1));
         match plan {
-            PairPlan::Simd => self.mem(v.addr(i), MemWidth::Quad, false).await,
-            PairPlan::Scalar => {
-                self.mem(v.addr(i), MemWidth::Double, false).await;
-                self.mem(v.addr(i + 1), MemWidth::Double, false).await;
-            }
+            PairPlan::Simd => self.access(v.addr(i), 0, 1, MemWidth::Quad, false, x),
+            PairPlan::Scalar => self.access(v.addr(i), 8, 2, MemWidth::Double, false, x),
         }
-        (v.raw(i), v.raw(i + 1))
     }
 
     /// Store elements `i`, `i+1` under `plan`.
-    #[inline]
-    pub async fn st2(&mut self, v: &mut SimVec<f64>, i: usize, x: (f64, f64), plan: PairPlan) {
-        match plan {
-            PairPlan::Simd => self.mem(v.addr(i), MemWidth::Quad, true).await,
-            PairPlan::Scalar => {
-                self.mem(v.addr(i), MemWidth::Double, true).await;
-                self.mem(v.addr(i + 1), MemWidth::Double, true).await;
-            }
-        }
+    #[inline(always)]
+    pub fn st2(
+        &mut self,
+        v: &mut SimVec<f64>,
+        i: usize,
+        x: (f64, f64),
+        plan: PairPlan,
+    ) -> Access<'_, ()> {
         *v.raw_mut(i) = x.0;
         *v.raw_mut(i + 1) = x.1;
+        match plan {
+            PairPlan::Simd => self.access(v.addr(i), 0, 1, MemWidth::Quad, true, ()),
+            PairPlan::Scalar => self.access(v.addr(i), 8, 2, MemWidth::Double, true, ()),
+        }
     }
 
     /// Retire the instructions of one semantic op applied to an element
@@ -831,7 +951,7 @@ impl RankCtx {
             src_node: self.place.node,
             dst_node,
         });
-        if self.tracing && !self.replay {
+        if self.trace.is_some() && !self.replay {
             self.machine.trace.record_rank(
                 self.rank,
                 sent_at,
@@ -1092,6 +1212,78 @@ impl Drop for RankCtx {
     }
 }
 
+/// Sampling state of a traced rank.
+struct RankTrace {
+    /// Sample live counters / memory windows every this many quantum
+    /// windows (0 = never).
+    sample_every: u64,
+    /// UPC slots sampled at each interval.
+    slots: Vec<u8>,
+    /// Quantum windows completed while tracing.
+    windows: u64,
+    /// Node memory statistics at the last sample (for window deltas).
+    last_mem: MemStats,
+}
+
+/// A strided run of same-shaped accesses still to be issued.
+#[derive(Clone, Copy)]
+struct Run {
+    /// Node-physical address of the next access.
+    addr: u64,
+    /// Bytes between consecutive accesses.
+    step: u64,
+    /// Accesses left, the next one included.
+    left: u64,
+    width: MemWidth,
+    write: bool,
+}
+
+/// A run whose issue stopped at a quantum crossing: the crossing
+/// access is at its head, ticked but not yet queued.
+struct Stopped {
+    run: Run,
+    /// The owed `Suspend::Yield` was returned to the worker.
+    yielded: bool,
+}
+
+/// The future every load/store helper of [`RankCtx`] returns.
+///
+/// **Issue is eager up to the first quantum crossing; await at once.**
+/// By the time the helper returns, every access before the first
+/// quantum crossing is ticked and queued, and the value (for a load) is
+/// read. If no access crossed, the first poll is `Ready`. Otherwise the
+/// closing window is already retired and the future owes one yield;
+/// once resumed it queues the crossing access without ticking it again
+/// and issues the rest, which may cross again (a scalar pair at quantum
+/// 1 yields twice). Holding the context's `&mut` borrow until it is
+/// dropped keeps anything else from touching the rank between the
+/// eager part and the `.await`.
+#[must_use = "an Access must be awaited at once: its issue may owe a yield"]
+pub struct Access<'a, T> {
+    out: T,
+    /// The rank while its issue is stopped at a crossing (`None` on the
+    /// fast path). The rest of the run waits in the rank itself, which
+    /// keeps this future two words wide: cheap to move into the
+    /// awaiting state machine.
+    ctx: Option<&'a mut RankCtx>,
+}
+
+impl<T: Copy + Unpin> Future for Access<'_, T> {
+    type Output = T;
+
+    #[inline(always)]
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        let this = self.get_mut();
+        if let Some(ctx) = &mut this.ctx {
+            if ctx.resume(cx).is_pending() {
+                return Poll::Pending;
+            }
+            this.ctx = None;
+        }
+        Poll::Ready(this.out)
+    }
+}
+
 /// Mirror the scheduler's wait state into the trace-local vocabulary
 /// (`bgp-trace` stays independent of the MPI runtime).
 fn wait_kind(w: Wait) -> WaitKind {
@@ -1111,4 +1303,85 @@ enum CollResult {
     None,
     Bytes(Payload),
     Column(Vec<Payload>),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::JobSpec;
+    use crate::sched::take_suspend;
+    use bgp_arch::OpMode;
+    use bgp_compiler::CompileOpts;
+    use std::task::Waker;
+
+    /// Rank 0 of a one-rank job at `quantum`, and its machine.
+    fn rank(quantum: u64, compile: CompileOpts) -> (Arc<Machine>, RankCtx) {
+        let mut spec = JobSpec::new(1, OpMode::VirtualNode);
+        spec.quantum = quantum;
+        spec.compile = compile;
+        let machine = Machine::new(spec);
+        (machine.clone(), RankCtx::new(machine, 0))
+    }
+
+    fn retired(machine: &Machine) -> u64 {
+        machine.with_node(0, |n| n.mem_stats().total_accesses())
+    }
+
+    #[test]
+    fn scalar_pair_at_quantum_one_yields_before_each_access() {
+        // -O5 draws no redundant reload for its first accesses, so each
+        // access queues exactly one op.
+        let (machine, mut ctx) = rank(1, CompileOpts::o5());
+        let mut v = ctx.alloc::<f64>(4);
+        *v.raw_mut(2) = 1.5;
+        *v.raw_mut(3) = 2.5;
+        let before = retired(&machine);
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut access = ctx.ld2(&v, 2, PairPlan::Scalar);
+        let mut pending = 0;
+        let out = loop {
+            match Pin::new(&mut access).poll(&mut cx) {
+                Poll::Ready(x) => break x,
+                Poll::Pending => {
+                    assert_eq!(take_suspend(), Some(Suspend::Yield));
+                    pending += 1;
+                    if pending == 2 {
+                        // The second crossing closed the window holding
+                        // the first access only.
+                        assert_eq!(retired(&machine), before + 1);
+                    }
+                }
+            }
+        };
+        assert_eq!(pending, 2, "a scalar pair at quantum 1 crosses twice");
+        assert_eq!(out, (1.5, 2.5));
+        drop(access);
+        // The second access opened the current window: still queued.
+        assert_eq!(retired(&machine), before + 1);
+        let p = ctx.pending.borrow();
+        assert_eq!(p.mem.len(), 1);
+        assert_eq!(p.retire.load_double, 1);
+    }
+
+    #[test]
+    fn replayed_access_is_ready_at_once_and_consumes_one_selector_per_op() {
+        // The baseline build reloads 40% of loads, so the selector state
+        // tells how many decisions were drawn.
+        let (machine, mut ctx) = rank(1, CompileOpts::baseline());
+        let v = ctx.alloc::<f64>(4);
+        ctx.replay = true;
+        let before = retired(&machine);
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut access = ctx.ld2(&v, 0, PairPlan::Scalar);
+        assert_eq!(Pin::new(&mut access).poll(&mut cx), Poll::Ready((0.0, 0.0)));
+        assert_eq!(take_suspend(), None);
+        drop(access);
+        assert_eq!(ctx.tick, 0, "a replayed access takes no tick");
+        assert!(ctx.pending.borrow().mem.is_empty());
+        assert_eq!(retired(&machine), before);
+        let mut reference = CodeGen::new(CompileOpts::baseline());
+        reference.redundant_mem();
+        reference.redundant_mem();
+        assert_eq!(format!("{:?}", ctx.cg), format!("{reference:?}"));
+    }
 }

@@ -35,7 +35,7 @@ pub mod sched;
 pub mod simvec;
 
 pub use comm::{bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, Payload, ReduceOp};
-pub use ctx::{RankCtx, SemOp};
+pub use ctx::{Access, RankCtx, SemOp};
 pub use machine::{
     place, AppState, CheckpointConfig, CounterPolicy, JobSpec, Machine, MpiCosts, Placement,
     SnapshotStats,

@@ -11,6 +11,8 @@ use bgp_arch::events::CoreEvent;
 use bgp_fpu::{FpOp, Fpu};
 use bgp_upc::Upc;
 
+use crate::MemWidth;
+
 /// Issue width of the PPC450 (instructions per cycle).
 pub const ISSUE_WIDTH: u64 = 2;
 
@@ -42,9 +44,9 @@ pub struct InstrCounts {
 }
 
 /// Aggregated per-class counts of one retired memory batch, as consumed
-/// by [`Core::retire_mem_batch`]. The node builds this while translating
-/// a batch so the core can retire the whole slice with a constant number
-/// of counter updates.
+/// by [`Core::retire_mem_batch`]. The issuing layer tallies it with
+/// [`MemRetire::add`] as it queues the batch, so the core can retire the
+/// whole slice with a constant number of counter updates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemRetire {
     /// Load instructions of all widths.
@@ -65,6 +67,27 @@ pub struct MemRetire {
     pub quadload: u64,
     /// 16-byte quadstores.
     pub quadstore: u64,
+}
+
+impl MemRetire {
+    /// Tally `n` accesses of one `width` and direction.
+    #[inline]
+    pub fn add(&mut self, width: MemWidth, write: bool, n: u64) {
+        let class = match (width, write) {
+            (MemWidth::Word, false) => &mut self.word_loads,
+            (MemWidth::Word, true) => &mut self.word_stores,
+            (MemWidth::Double, false) => &mut self.load_double,
+            (MemWidth::Double, true) => &mut self.store_double,
+            (MemWidth::Quad, false) => &mut self.quadload,
+            (MemWidth::Quad, true) => &mut self.quadstore,
+        };
+        *class += n;
+        if write {
+            self.stores += n;
+        } else {
+            self.loads += n;
+        }
+    }
 }
 
 /// Execution state of one core.

@@ -18,7 +18,7 @@ pub use crate::core::{Core, InstrCounts, MemRetire, ISSUE_WIDTH, MISPREDICT_PENA
 use bgp_arch::events::{CoreEvent, CounterMode, NUM_COUNTERS};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
-use bgp_mem::{HitLevel, MemorySystem};
+use bgp_mem::{HitLevel, MemAccess, MemorySystem};
 use bgp_upc::Upc;
 
 /// Memory-operation width as seen by the instruction set.
@@ -54,18 +54,6 @@ impl MemWidth {
     }
 }
 
-/// One queued memory operation of a process, at a process-virtual
-/// address — the unit of [`Node::mem_ops`] batches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemOp {
-    /// Process-virtual byte address.
-    pub vaddr: u64,
-    /// Transfer width.
-    pub width: MemWidth,
-    /// Store (`true`) or load (`false`).
-    pub write: bool,
-}
-
 /// Loop-resident code footprint rotated through by the synthetic
 /// instruction-fetch stream (16 KB in a reserved high region that never
 /// aliases workload data lines).
@@ -97,8 +85,6 @@ pub struct Node {
     /// happened to be in — the reference the validation harness checks
     /// counted and reconstructed network events against.
     net_truth: Box<[u64; NUM_COUNTERS]>,
-    /// Translated-address scratch buffer reused across batches.
-    batch: Vec<bgp_mem::MemAccess>,
 }
 
 impl Node {
@@ -118,7 +104,6 @@ impl Node {
             ifetches: [0; CORES_PER_NODE],
             icache_fits: (CODE_LINES as usize).div_ceil(cfg.l1_sets()) <= cfg.l1_ways,
             net_truth: Box::new([0; NUM_COUNTERS]),
-            batch: Vec::new(),
         }
     }
 
@@ -207,35 +192,19 @@ impl Node {
     /// node differential tests pin this), but with one instruction-fetch
     /// bulk probe, one hierarchy batch walk, one aggregated retirement,
     /// and one cycle-counter sync for the entire slice.
-    pub fn mem_ops(&mut self, core: usize, process: usize, ops: &[MemOp]) {
-        if ops.is_empty() {
+    ///
+    /// The batch arrives pre-translated: `batch` holds node-physical
+    /// addresses (see [`AddressLayout::physical`]) and `retire` is the
+    /// caller's per-class tally of the same accesses (see
+    /// [`MemRetire::add`]), both built as the accesses were issued.
+    pub fn mem_ops(&mut self, core: usize, batch: &[MemAccess], retire: &MemRetire) {
+        if batch.is_empty() {
             return;
         }
-        self.touch_icache_batch(core, ops.len() as u64);
-        self.batch.clear();
-        self.batch.reserve(ops.len());
-        let mut retire = MemRetire::default();
-        for o in ops {
-            self.batch.push(bgp_mem::MemAccess {
-                addr: self.layout.physical(process, o.vaddr),
-                write: o.write,
-            });
-            match (o.width, o.write) {
-                (MemWidth::Word, false) => retire.word_loads += 1,
-                (MemWidth::Word, true) => retire.word_stores += 1,
-                (MemWidth::Double, false) => retire.load_double += 1,
-                (MemWidth::Double, true) => retire.store_double += 1,
-                (MemWidth::Quad, false) => retire.quadload += 1,
-                (MemWidth::Quad, true) => retire.quadstore += 1,
-            }
-            if o.write {
-                retire.stores += 1;
-            } else {
-                retire.loads += 1;
-            }
-        }
-        let stall = self.mem.access_batch(core, &self.batch, &mut self.upc);
-        self.cores[core].retire_mem_batch(&retire, stall, &mut self.upc);
+        debug_assert_eq!(batch.len() as u64, retire.loads + retire.stores);
+        self.touch_icache_batch(core, batch.len() as u64);
+        let stall = self.mem.access_batch(core, batch, &mut self.upc);
+        self.cores[core].retire_mem_batch(retire, stall, &mut self.upc);
         self.cores[core].sync_cycle_counter(&mut self.upc);
     }
 
@@ -324,9 +293,8 @@ impl Node {
 
     /// Serialize the node's complete runtime state (checkpoint support):
     /// the four cores, the memory system, the UPC unit, and the synthetic
-    /// instruction-fetch cursors. Identity, operating mode, address
-    /// layout, and the `batch` scratch buffer are configuration or
-    /// transient scratch and are not captured.
+    /// instruction-fetch cursors. Identity, operating mode and address
+    /// layout are configuration and are not captured.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         for c in &self.cores {
             c.save_state(out);
@@ -449,6 +417,23 @@ mod tests {
         assert!(s.l1i_hits > 9_000);
     }
 
+    /// A load or store at a process-virtual address: `(vaddr, width, write)`.
+    type Op = (u64, MemWidth, bool);
+
+    /// One pre-translated batch of `ops` of `process`, as the issuing
+    /// layer builds it for [`Node::mem_ops`].
+    fn batch(n: &Node, process: usize, ops: &[Op]) -> (Vec<MemAccess>, MemRetire) {
+        let mut retire = MemRetire::default();
+        let batch = ops
+            .iter()
+            .map(|&(vaddr, width, write)| {
+                retire.add(width, write, 1);
+                MemAccess { addr: n.layout().physical(process, vaddr), write }
+            })
+            .collect();
+        (batch, retire)
+    }
+
     #[test]
     fn batched_mem_ops_match_the_scalar_path() {
         // Differential: the same op stream through per-op `mem_op` and
@@ -458,7 +443,7 @@ mod tests {
             let mut scalar = node(mode);
             let mut batched = node(mode);
             let mut x = 0x9E3779B97F4A7C15u64;
-            let slices: Vec<(usize, usize, Vec<MemOp>)> = (0..120)
+            let slices: Vec<(usize, usize, Vec<Op>)> = (0..120)
                 .map(|_| {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                     let core = (x >> 33) as usize % CORES_PER_NODE;
@@ -471,21 +456,18 @@ mod tests {
                                 _ => MemWidth::Quad,
                             };
                             // Mixed strided/random over 256 KB per process.
-                            MemOp {
-                                vaddr: ((x >> 13) % (256 << 10)) & !7,
-                                width,
-                                write: x & 3 == 0,
-                            }
+                            (((x >> 13) % (256 << 10)) & !7, width, x & 3 == 0)
                         })
                         .collect();
                     (core, core, ops)
                 })
                 .collect();
             for (core, process, ops) in &slices {
-                for o in ops {
-                    scalar.mem_op(*core, *process, o.vaddr, o.width, o.write);
+                for &(vaddr, width, write) in ops {
+                    scalar.mem_op(*core, *process, vaddr, width, write);
                 }
-                batched.mem_ops(*core, *process, ops);
+                let (accesses, retire) = batch(&batched, *process, ops);
+                batched.mem_ops(*core, &accesses, &retire);
             }
             assert_eq!(scalar.mem_stats(), batched.mem_stats());
             for c in 0..CORES_PER_NODE {
@@ -527,13 +509,12 @@ mod tests {
             n
         };
         let (mut scalar, mut batched) = (mk(), mk());
-        let ops: Vec<MemOp> = (0..2000u64)
-            .map(|i| MemOp { vaddr: i * 64, width: MemWidth::Double, write: false })
-            .collect();
-        for o in &ops {
-            scalar.mem_op(0, 0, o.vaddr, o.width, o.write);
+        let ops: Vec<Op> = (0..2000u64).map(|i| (i * 64, MemWidth::Double, false)).collect();
+        for &(vaddr, width, write) in &ops {
+            scalar.mem_op(0, 0, vaddr, width, write);
         }
-        batched.mem_ops(0, 0, &ops);
+        let (accesses, retire) = batch(&batched, 0, &ops);
+        batched.mem_ops(0, &accesses, &retire);
         assert_eq!(scalar.upc().snapshot(), batched.upc().snapshot());
         assert_eq!(scalar.upc().interrupts_raised(), 1);
         assert_eq!(batched.upc().interrupts_raised(), 1);
