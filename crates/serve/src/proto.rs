@@ -44,10 +44,16 @@
 //!   **byte-for-byte** from the content-addressed store, so two
 //!   responses for one key always carry identical result bytes.
 //! * Backpressure reject (the 429 path):
-//!   `{"ok":false,"error":"backpressure","retry_after_ms":N}`
+//!   `{"ok":false,"error":"backpressure","retry_after_ms":N}` — also the
+//!   one line a connection beyond `ServerConfig::max_connections` gets
+//!   before it is closed.
 //! * Drain reject: `{"ok":false,"error":"draining"}`
 //! * Failed job: `{"ok":false,"error":"job-failed","detail":"…"}`
 //! * Malformed request: `{"ok":false,"error":"bad-request","detail":"…"}`
+//! * Request line over [`MAX_REQUEST_BYTES`]:
+//!   `{"ok":false,"error":"request-too-large","limit":N,"detail":"…"}` —
+//!   sent as soon as the limit is passed; the rest of the line is
+//!   discarded and the connection stays usable.
 //! * Completed batch: `{"ok":true,"jobs":N,"results":[…]}` — one
 //!   element per job in submission order, each the terminal object the
 //!   equivalent lone submit would have produced (including per-job
@@ -66,6 +72,9 @@ use bgp_trace::TraceConfig;
 
 /// Highest protocol version this build speaks (see the module docs).
 pub const PROTO_VERSION: u64 = 2;
+/// Cap on the bytes of one request line (its newline excluded). A
+/// batch at [`MAX_BATCH_JOBS`] needs a few tens of KB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// Cap on jobs per `batch` envelope (keeps one request line from
 /// monopolizing the admission queue).
 pub const MAX_BATCH_JOBS: usize = 64;

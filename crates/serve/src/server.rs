@@ -25,7 +25,7 @@
 
 use crate::load::Client;
 use crate::proto::{
-    mode_token, CacheOutcome, ParseError, Request, SubmitReq, PROTO_VERSION,
+    mode_token, CacheOutcome, ParseError, Request, SubmitReq, MAX_REQUEST_BYTES, PROTO_VERSION,
 };
 use crate::queue::{JobQueue, PushError, QueueConfig, QueueItem};
 use bgp_core::supervisor::{
@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -65,6 +65,10 @@ pub struct ServerConfig {
     pub max_retries: u32,
     /// Suppress per-job log lines on stderr.
     pub quiet: bool,
+    /// Open client connections served at once (one handler thread
+    /// each); a connection beyond the cap gets the backpressure reply
+    /// and is closed.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -79,6 +83,7 @@ impl Default for ServerConfig {
             wall_budget: Some(Duration::from_secs(300)),
             max_retries: 1,
             quiet: false,
+            max_connections: 64,
         }
     }
 }
@@ -178,6 +183,8 @@ struct ServeState {
     queue: JobQueue,
     inflight: Mutex<HashMap<CacheKey, Arc<JobSlot>>>,
     stats: Stats,
+    /// Connection handlers currently running.
+    connections: AtomicUsize,
     draining: AtomicBool,
     shutdown: AtomicBool,
 }
@@ -237,6 +244,7 @@ impl Server {
             queue,
             inflight: Mutex::new(HashMap::new()),
             stats: Stats::default(),
+            connections: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             cfg,
@@ -274,13 +282,24 @@ impl Server {
             if state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = conn else { continue };
+            let Ok(mut stream) = conn else { continue };
+            if state.connections.fetch_add(1, Ordering::SeqCst) >= state.cfg.max_connections {
+                state.connections.fetch_sub(1, Ordering::SeqCst);
+                // A short write on a fresh socket; the timeout keeps a
+                // client that never reads from stalling the accept loop.
+                let reply = reject_backpressure(&state, state.queue.len());
+                let _ = stream.set_write_timeout(Some(READ_POLL));
+                let _ = write_line(&mut stream, &reply);
+                continue;
+            }
             let st = Arc::clone(&state);
-            let _ = std::thread::Builder::new()
-                .name("bgp-conn".into())
-                .spawn(move || {
-                    let _ = handle_connection(&st, stream);
-                });
+            let spawned = std::thread::Builder::new().name("bgp-conn".into()).spawn(move || {
+                let _open = ConnectionSlot(&st.connections);
+                let _ = handle_connection(&st, stream);
+            });
+            if spawned.is_err() {
+                state.connections.fetch_sub(1, Ordering::SeqCst);
+            }
         }
         // Shutdown: the queue is closed; workers drain what was
         // admitted, then exit. Every admitted job still completes.
@@ -319,9 +338,28 @@ impl ServerHandle {
     /// Request a graceful shutdown (drain admitted jobs, then exit)
     /// and wait for the server thread to finish.
     pub fn shutdown(self) {
-        let _ = Client::connect(self.addr)
-            .and_then(|mut c| c.request(&Request::Shutdown.encode()));
+        // A connection over the cap is refused with backpressure until
+        // a closing client's handler has exited; try again briefly.
+        // A refused connect means the server is already gone.
+        for _ in 0..100 {
+            let Ok(mut client) = Client::connect(self.addr) else { break };
+            match client.request(&Request::Shutdown.encode()) {
+                Ok(r) if !r.contains("\"error\":\"backpressure\"") => break,
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
         let _ = self.join.join();
+    }
+}
+
+/// One running connection handler: releases its slot of
+/// [`ServerConfig::max_connections`] when the handler ends, by return or
+/// by panic.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -335,24 +373,14 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) -> std::io::Res
     stream.set_read_timeout(Some(READ_POLL))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Past `MAX_REQUEST_BYTES` the line is answered at once and the rest
+    // of it discarded up to its newline, so no line grows without bound.
+    let mut oversized = false;
     loop {
-        // `read_line` under a read timeout may return with a partial
-        // line appended; keep accumulating until the newline arrives.
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) if line.ends_with('\n') => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let shutdown_after = dispatch(state, &line, &mut writer)?;
-                line.clear();
-                if shutdown_after {
-                    return Ok(());
-                }
-            }
-            Ok(_) => {} // partial line, keep reading
+        let chunk = match reader.fill_buf() {
+            Ok([]) => return Ok(()), // client closed
+            Ok(chunk) => chunk,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -362,10 +390,60 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) -> std::io::Res
                 if state.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
+                continue;
             }
             Err(e) => return Err(e),
+        };
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        if !oversized && line.len() + body.len() > MAX_REQUEST_BYTES {
+            oversized = true;
+            line.clear();
+            write_line(&mut writer, &reject_too_large(state))?;
+        }
+        if !oversized {
+            line.extend_from_slice(body);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_none() {
+            continue;
+        }
+        if std::mem::take(&mut oversized) {
+            continue;
+        }
+        let shutdown_after = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => false,
+            Ok(text) => dispatch(state, text, &mut writer)?,
+            Err(e) => {
+                state.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                let resp = Obj::new()
+                    .field_bool("ok", false)
+                    .field_str("error", "bad-request")
+                    .field_str("detail", &format!("request line is not UTF-8: {e}"))
+                    .finish();
+                write_line(&mut writer, &resp)?;
+                false
+            }
+        };
+        line.clear();
+        if shutdown_after {
+            return Ok(());
         }
     }
+}
+
+fn reject_too_large(state: &ServeState) -> String {
+    state.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+    Obj::new()
+        .field_bool("ok", false)
+        .field_str("error", "request-too-large")
+        .field_u64("limit", MAX_REQUEST_BYTES as u64)
+        .field_str(
+            "detail",
+            &format!("request line exceeds {MAX_REQUEST_BYTES} bytes; discarded up to its newline"),
+        )
+        .finish()
 }
 
 /// Handle one request line; `Ok(true)` means the connection should

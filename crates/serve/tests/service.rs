@@ -301,3 +301,64 @@ fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
     assert!(pong.contains("\"pong\":true"), "{pong}");
     server.shutdown();
 }
+
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_survives() {
+    use bgp_serve::proto::MAX_REQUEST_BYTES;
+    let server = spawn(quiet_cfg());
+    let mut client = Client::connect(server.addr()).unwrap();
+    // One byte past the cap: answered without buffering the line.
+    let bad = client.request(&"a".repeat(MAX_REQUEST_BYTES + 1)).unwrap();
+    assert_eq!(str_member(&bad, "error"), Some("request-too-large"), "{bad}");
+    assert_eq!(u64_member(&bad, "limit"), Some(MAX_REQUEST_BYTES as u64), "{bad}");
+    // The rest of the line was discarded: the connection still works.
+    let pong = client.request(&Request::Ping.encode()).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let mut other = Client::connect(server.addr()).unwrap();
+    let pong = other.request(&Request::Ping.encode()).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    server.shutdown();
+}
+
+#[test]
+fn excess_connections_get_backpressure_and_the_daemon_survives() {
+    use std::io::BufRead;
+    let server = spawn(ServerConfig { max_connections: 2, ..quiet_cfg() });
+    let addr = server.addr();
+    // Two answered pings: both handlers hold their slots.
+    let mut held: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut c = Client::connect(addr).unwrap();
+            assert!(c.request(&Request::Ping.encode()).unwrap().contains("\"pong\":true"));
+            c
+        })
+        .collect();
+    // The third gets the backpressure reply, then the daemon closes it.
+    let excess = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = std::io::BufReader::new(excess);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(str_member(&reply, "error"), Some("backpressure"), "{reply}");
+    assert!(u64_member(&reply, "retry_after_ms").is_some(), "{reply}");
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "closed after the reply: {reply}");
+    // The held connections are still served.
+    let pong = held[0].request(&Request::Ping.encode()).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    // Once a held client leaves, a new connection is served (its
+    // handler frees the slot when it sees the close).
+    held.pop();
+    let mut served = false;
+    for _ in 0..100 {
+        // A refused connection may see the reply or a reset.
+        let reply = Client::connect(addr).and_then(|mut c| c.request(&Request::Ping.encode()));
+        if reply.is_ok_and(|pong| pong.contains("\"pong\":true")) {
+            served = true;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(served, "a freed slot was never reused");
+    drop(held);
+    server.shutdown();
+}
