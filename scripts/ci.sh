@@ -20,6 +20,9 @@ done
 echo "==> golden oracle under the fat-LTO release profile"
 cargo test -q --release --test golden_export
 
+echo "==> perfbench self-tests (every workload's digest is committed; timing wrapper is exact)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism full matrix"
 cargo test -q --release --test determinism -- --ignored
 
