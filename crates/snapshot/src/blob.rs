@@ -196,7 +196,10 @@ impl BlobStore {
     /// [`BgpError::Io`] when the persistent backing write fails (the
     /// in-memory entry is still installed — serving continues, only
     /// restart durability is lost).
-    pub fn put(&self, key: CacheKey, bytes: Vec<u8>) -> Result<Arc<Vec<u8>>> {
+    pub fn put(&self, key: CacheKey, mut bytes: Vec<u8>) -> Result<Arc<Vec<u8>>> {
+        // Entries live as long as the store: drop the builder's growth
+        // slack rather than hold it per key.
+        bytes.shrink_to_fit();
         let arc = Arc::new(bytes);
         let canonical = {
             let mut mem = self.mem.lock();
