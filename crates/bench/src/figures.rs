@@ -735,10 +735,10 @@ const MEM_GATE_SPEEDUP: f64 = 1.5;
 /// — icache probe, hierarchy walk, retirement and counter sync per
 /// access — and through [`bgp_node::Node::mem_ops`] in quantum-sized
 /// slices, each pre-translated with its per-class tally as the rank
-/// context builds them at issue time. The stream mirrors the NAS mix — three unit-stride double
-/// sweeps for every random-footprint burst — so the same-line run
-/// memoization is exercised at its real duty cycle, not a best case.
-/// Recorded in `BENCH_mem.json`.
+/// context builds them at issue time. The stream mirrors the NAS mix —
+/// three unit-stride double sweeps for every random-footprint burst — so
+/// the same-line run memoization is exercised at its real duty cycle,
+/// not a best case. Recorded in `BENCH_mem.json`.
 pub fn fig_ext_memthroughput(scale: Scale) -> Report {
     use bgp_arch::events::CounterMode as CMode;
     use bgp_arch::{MachineConfig, NodeId};
