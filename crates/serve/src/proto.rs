@@ -45,8 +45,8 @@
 //!   responses for one key always carry identical result bytes.
 //! * Backpressure reject (the 429 path):
 //!   `{"ok":false,"error":"backpressure","retry_after_ms":N}` — also the
-//!   one line a connection beyond `ServerConfig::max_connections` gets
-//!   before it is closed.
+//!   one line a connection beyond [`MAX_CONNECTIONS`] gets before it is
+//!   closed.
 //! * Drain reject: `{"ok":false,"error":"draining"}`
 //! * Failed job: `{"ok":false,"error":"job-failed","detail":"…"}`
 //! * Malformed request: `{"ok":false,"error":"bad-request","detail":"…"}`
@@ -75,6 +75,8 @@ pub const PROTO_VERSION: u64 = 2;
 /// Cap on the bytes of one request line (its newline excluded). A
 /// batch at [`MAX_BATCH_JOBS`] needs a few tens of KB.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+/// Cap on client connections served at once (one handler thread each).
+pub const MAX_CONNECTIONS: usize = 64;
 /// Cap on jobs per `batch` envelope (keeps one request line from
 /// monopolizing the admission queue).
 pub const MAX_BATCH_JOBS: usize = 64;

@@ -23,9 +23,9 @@
 //!    store; every waiter (submitter + joiners) is notified and the
 //!    key leaves the in-flight table, so later submits hit the cache.
 
-use crate::load::Client;
 use crate::proto::{
-    mode_token, CacheOutcome, ParseError, Request, SubmitReq, MAX_REQUEST_BYTES, PROTO_VERSION,
+    mode_token, CacheOutcome, ParseError, Request, SubmitReq, MAX_CONNECTIONS, MAX_REQUEST_BYTES,
+    PROTO_VERSION,
 };
 use crate::queue::{JobQueue, PushError, QueueConfig, QueueItem};
 use bgp_core::supervisor::{
@@ -65,10 +65,6 @@ pub struct ServerConfig {
     pub max_retries: u32,
     /// Suppress per-job log lines on stderr.
     pub quiet: bool,
-    /// Open client connections served at once (one handler thread
-    /// each); a connection beyond the cap gets the backpressure reply
-    /// and is closed.
-    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -83,7 +79,6 @@ impl Default for ServerConfig {
             wall_budget: Some(Duration::from_secs(300)),
             max_retries: 1,
             quiet: false,
-            max_connections: 64,
         }
     }
 }
@@ -221,7 +216,7 @@ pub struct Server {
 /// A server running on a background thread (in-process harnesses:
 /// tests, `fig_ext_service`).
 pub struct ServerHandle {
-    addr: SocketAddr,
+    state: Arc<ServeState>,
     join: std::thread::JoinHandle<()>,
 }
 
@@ -283,7 +278,7 @@ impl Server {
                 break;
             }
             let Ok(mut stream) = conn else { continue };
-            if state.connections.fetch_add(1, Ordering::SeqCst) >= state.cfg.max_connections {
+            if state.connections.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
                 state.connections.fetch_sub(1, Ordering::SeqCst);
                 // A short write on a fresh socket; the timeout keeps a
                 // client that never reads from stalling the accept loop.
@@ -321,40 +316,47 @@ impl Server {
     /// [`std::io::Error`] when the address cannot be bound.
     pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let server = Server::bind(cfg)?;
-        let addr = server.local_addr();
+        let state = Arc::clone(&server.state);
         let join = std::thread::Builder::new()
             .name("bgp-serve".into())
             .spawn(move || server.run())?;
-        Ok(ServerHandle { addr, join })
+        Ok(ServerHandle { state, join })
     }
 }
 
 impl ServerHandle {
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Request a graceful shutdown (drain admitted jobs, then exit)
-    /// and wait for the server thread to finish.
+    /// and wait for the server thread to finish. Works directly on the
+    /// shared state, so it needs no connection slot.
     pub fn shutdown(self) {
-        // A connection over the cap is refused with backpressure until
-        // a closing client's handler has exited; try again briefly.
-        // A refused connect means the server is already gone.
-        for _ in 0..100 {
-            let Ok(mut client) = Client::connect(self.addr) else { break };
-            match client.request(&Request::Shutdown.encode()) {
-                Ok(r) if !r.contains("\"error\":\"backpressure\"") => break,
-                _ => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+        begin_shutdown(&self.state);
+        wake_accept(&self.state);
         let _ = self.join.join();
     }
 }
 
+/// Stop admitting and close the queue; workers drain what was
+/// admitted, then exit.
+fn begin_shutdown(state: &ServeState) {
+    state.draining.store(true, Ordering::SeqCst);
+    state.queue.close();
+    state.shutdown.store(true, Ordering::SeqCst);
+}
+
+/// Unblock the accept loop so `run` can join the workers. The loop
+/// checks the shutdown flag before the connection cap, so this connect
+/// gets through with every slot held.
+fn wake_accept(state: &ServeState) {
+    let _ = TcpStream::connect(state.addr);
+}
+
 /// One running connection handler: releases its slot of
-/// [`ServerConfig::max_connections`] when the handler ends, by return or
-/// by panic.
+/// [`MAX_CONNECTIONS`] when the handler ends, by return or by panic.
 struct ConnectionSlot<'a>(&'a AtomicUsize);
 
 impl Drop for ConnectionSlot<'_> {
@@ -507,17 +509,14 @@ fn dispatch(
             Ok(false)
         }
         Request::Shutdown => {
-            state.draining.store(true, Ordering::SeqCst);
-            state.queue.close();
-            state.shutdown.store(true, Ordering::SeqCst);
+            begin_shutdown(state);
             let resp = Obj::new()
                 .field_bool("ok", true)
                 .field_bool("shutdown", true)
                 .field_u64("queued", state.queue.len() as u64)
                 .finish();
             write_line(out, &resp)?;
-            // Unblock the accept loop so `run` can join the workers.
-            let _ = TcpStream::connect(state.addr);
+            wake_accept(state);
             Ok(true)
         }
         Request::Submit(sub) => {

@@ -322,18 +322,19 @@ fn over_long_request_line_is_refused_and_the_daemon_survives() {
 
 #[test]
 fn excess_connections_get_backpressure_and_the_daemon_survives() {
+    use bgp_serve::proto::MAX_CONNECTIONS;
     use std::io::BufRead;
-    let server = spawn(ServerConfig { max_connections: 2, ..quiet_cfg() });
+    let server = spawn(quiet_cfg());
     let addr = server.addr();
-    // Two answered pings: both handlers hold their slots.
-    let mut held: Vec<Client> = (0..2)
+    // Answered pings: every handler holds its slot.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
         .map(|_| {
             let mut c = Client::connect(addr).unwrap();
             assert!(c.request(&Request::Ping.encode()).unwrap().contains("\"pong\":true"));
             c
         })
         .collect();
-    // The third gets the backpressure reply, then the daemon closes it.
+    // One more gets the backpressure reply, then the daemon closes it.
     let excess = std::net::TcpStream::connect(addr).unwrap();
     let mut reader = std::io::BufReader::new(excess);
     let mut reply = String::new();
@@ -347,18 +348,19 @@ fn excess_connections_get_backpressure_and_the_daemon_survives() {
     assert!(pong.contains("\"pong\":true"), "{pong}");
     // Once a held client leaves, a new connection is served (its
     // handler frees the slot when it sees the close).
-    held.pop();
-    let mut served = false;
+    drop(held.pop());
+    let mut served = None;
     for _ in 0..100 {
         // A refused connection may see the reply or a reset.
-        let reply = Client::connect(addr).and_then(|mut c| c.request(&Request::Ping.encode()));
-        if reply.is_ok_and(|pong| pong.contains("\"pong\":true")) {
-            served = true;
+        let mut c = Client::connect(addr).unwrap();
+        if c.request(&Request::Ping.encode()).is_ok_and(|pong| pong.contains("\"pong\":true")) {
+            served = Some(c);
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert!(served, "a freed slot was never reused");
-    drop(held);
+    held.push(served.expect("a freed slot was never reused"));
+    // Shutdown needs no slot: it returns with every slot still held.
     server.shutdown();
+    drop(held);
 }
