@@ -171,3 +171,143 @@ fn flush_returns_exactly_dirty_lines() {
         assert_eq!(flushed, want, "case {case}");
     }
 }
+
+/// Naive reference for [`Cache`]: one `Vec` per set holding the valid
+/// lines most- to least-recently-used, each with its dirty and
+/// prefetched bits. Holes left by invalidation are not modeled: a fill
+/// takes a free way while the set holds fewer than `assoc` lines, and
+/// evicts the least-recently-used line otherwise.
+struct RefCache {
+    sets: Vec<Vec<(u64, bool, bool)>>,
+    assoc: usize,
+}
+
+impl RefCache {
+    fn new(sets: usize, assoc: usize) -> RefCache {
+        RefCache { sets: vec![Vec::new(); sets], assoc }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, bool, bool)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn find(&mut self, line: u64) -> Option<usize> {
+        self.set(line).iter().position(|e| e.0 == line)
+    }
+
+    fn access(&mut self, line: u64, write: bool) -> (bool, bool) {
+        match self.find(line) {
+            Some(i) => {
+                let (l, dirty, pref) = self.set(line).remove(i);
+                self.set(line).insert(0, (l, dirty || write, false));
+                (true, pref)
+            }
+            None => (false, false),
+        }
+    }
+
+    fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<(u64, bool)> {
+        let assoc = self.assoc;
+        if let Some(i) = self.find(line) {
+            let (l, d, p) = self.set(line).remove(i);
+            self.set(line).insert(0, (l, d || dirty, p && prefetched));
+            return None;
+        }
+        let set = self.set(line);
+        let victim = (set.len() == assoc).then(|| set.pop().unwrap());
+        set.insert(0, (line, dirty, prefetched));
+        victim.map(|(l, d, _)| (l, d))
+    }
+
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        let i = self.find(line);
+        if let Some(i) = i {
+            self.set(line)[i].1 = true;
+        }
+        i.is_some()
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let i = self.find(line)?;
+        Some(self.set(line).remove(i).1)
+    }
+
+    /// Dirty lines set by set, most-recently-used first (the cache's
+    /// storage order), emptying every set.
+    fn flush(&mut self) -> Vec<u64> {
+        let mut dirty = Vec::new();
+        for set in &mut self.sets {
+            dirty.extend(set.drain(..).filter(|e| e.1).map(|e| e.0));
+        }
+        dirty
+    }
+
+    fn resident(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// Differential check of [`Cache`] against [`RefCache`] over random
+/// operation streams, for power-of-two and other set counts and every
+/// associativity the machine uses: each return value (hit, first
+/// prefetch use, eviction victim and its dirtiness, presence, flushed
+/// lines) must agree, also across a save/restore round trip.
+#[test]
+fn cache_matches_reference_lru_model() {
+    let mut rng = SimRng::seed_from_u64(0x17);
+    for sets in [1usize, 4, 16, 3, 6, 12] {
+        for assoc in [1usize, 2, 8, 16] {
+            for case in 0..8 {
+                let mut c = Cache::new(sets, assoc);
+                let mut m = RefCache::new(sets, assoc);
+                // A line pool about twice the capacity keeps hits,
+                // evictions and absent probes all common; some cases
+                // sit high in the address space.
+                let pool = (sets * assoc * 2) as u64;
+                let base = if case % 2 == 0 { 0 } else { 1 << 50 };
+                let case_at = format!("sets {sets} assoc {assoc} case {case}");
+                for step in 0..600 {
+                    let line = base + rng.gen_range(0..pool);
+                    let at = format!("{case_at} step {step} line {line}");
+                    match rng.gen_range(0u32..100) {
+                        0..=29 => {
+                            let write = rng.gen_bool(0.3);
+                            let h = c.access(line, write);
+                            let got = (h.hit, h.first_prefetch_use);
+                            assert_eq!(got, m.access(line, write), "access {at}");
+                        }
+                        30..=59 => {
+                            let (dirty, pref) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
+                            let ev = c.fill(line, dirty, pref).map(|e| (e.line, e.dirty));
+                            assert_eq!(ev, m.fill(line, dirty, pref), "fill {at}");
+                        }
+                        60..=71 => {
+                            assert_eq!(c.contains(line), m.find(line).is_some(), "contains {at}");
+                        }
+                        72..=81 => {
+                            assert_eq!(c.mark_dirty(line), m.mark_dirty(line), "mark_dirty {at}");
+                        }
+                        82..=95 => {
+                            assert_eq!(c.invalidate(line), m.invalidate(line), "invalidate {at}");
+                        }
+                        96..=97 => {
+                            let mut bytes = Vec::new();
+                            c.save_state(&mut bytes);
+                            let mut r = bgp_arch::wire::Reader::new(&bytes);
+                            c = Cache::new(sets, assoc);
+                            c.restore_state(&mut r).unwrap();
+                            r.expect_end("cache").unwrap();
+                            let mut again = Vec::new();
+                            c.save_state(&mut again);
+                            assert_eq!(again, bytes, "save after restore {at}");
+                        }
+                        98 => assert_eq!(c.flush(), m.flush(), "flush {at}"),
+                        _ => assert_eq!(c.resident_lines(), m.resident(), "resident {at}"),
+                    }
+                }
+                assert_eq!(c.flush(), m.flush(), "final flush {case_at}");
+            }
+        }
+    }
+}
