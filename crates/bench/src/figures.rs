@@ -722,11 +722,10 @@ pub fn fig_ext_snapshot(scale: Scale) -> Report {
 /// Acceptance threshold: `Node::mem_ops` must beat the per-op
 /// `Node::mem_op` walk by at least this factor on the mixed
 /// stride/random stream. Steady state measures ~1.9× — the cache-core
-/// optimizations (recency-ordered sets, membership filter) speed up
-/// *both* engines, so the ratio is floored by the shared miss
-/// machinery. The gate sits below typical with a noise margin: it is a
-/// regression alarm, not an aspiration, and being a ratio of two
-/// engines it is host-independent.
+/// optimization (recency-ordered sets) speeds up *both* engines, so
+/// the ratio is floored by the shared miss machinery. The gate sits
+/// below typical with a noise margin: it is a regression alarm, not an
+/// aspiration, and being a ratio of two engines it is host-independent.
 const MEM_GATE_SPEEDUP: f64 = 1.5;
 
 /// Extension (performance): simulator throughput of the batched memory

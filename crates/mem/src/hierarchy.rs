@@ -20,7 +20,7 @@
 //! the lines the core holds, and a peer whose span excludes the line is
 //! skipped with the result the full probe would give. Under VNM's
 //! disjoint per-process partitions that is two compares per peer
-//! instead of fifteen membership-filter probes. Spans are derived
+//! instead of fifteen tag scans. Spans are derived
 //! state: [`MemorySystem::restore_state`] rebuilds them from the
 //! resident lines, and snapshots do not carry them.
 
@@ -319,7 +319,7 @@ impl MemorySystem {
             Vec::new()
         } else {
             (0..cfg.l3_banks)
-                .map(|_| Cache::unfiltered(cfg.l3_sets_per_bank(), cfg.l3_ways))
+                .map(|_| Cache::new(cfg.l3_sets_per_bank(), cfg.l3_ways))
                 .collect()
         };
         MemorySystem {
@@ -659,7 +659,7 @@ impl MemorySystem {
     /// A peer whose span does not contain `l2_line` holds no copy, so it
     /// is skipped. Peers whose spans do contain it (threads of one
     /// process in SMP and Dual mode, or a prefetch stream that ran past
-    /// a partition end) take the filtered tag probe below.
+    /// a partition end) take the tag probe below.
     fn snoop(&mut self, core: usize, l2_line: u64, write_intent: bool, wc: &mut WalkCounts) {
         wc.snoop_req += 1;
         let mut found = false;
