@@ -16,6 +16,7 @@
 
 use crate::CORES_PER_NODE;
 use core::fmt;
+use core::str::FromStr;
 
 /// Operating mode of a compute node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -68,6 +69,17 @@ impl OpMode {
         p * per..(p + 1) * per
     }
 
+    /// Lowercase command-line and protocol token; [`FromStr`] accepts
+    /// it in any case.
+    pub const fn token(self) -> &'static str {
+        match self {
+            OpMode::Smp1 => "smp1",
+            OpMode::Smp4 => "smp4",
+            OpMode::Dual => "dual",
+            OpMode::VirtualNode => "vnm",
+        }
+    }
+
     /// Canonical display name used in the paper's figures.
     pub const fn label(self) -> &'static str {
         match self {
@@ -76,6 +88,21 @@ impl OpMode {
             OpMode::Dual => "Dual Mode",
             OpMode::VirtualNode => "Virtual Node Mode",
         }
+    }
+}
+
+impl FromStr for OpMode {
+    type Err = String;
+
+    /// Parse a [`OpMode::token`] in any case; `vn` is accepted for `vnm`.
+    fn from_str(s: &str) -> Result<OpMode, String> {
+        if s.eq_ignore_ascii_case("vn") {
+            return Ok(OpMode::VirtualNode);
+        }
+        OpMode::ALL
+            .into_iter()
+            .find(|m| m.token().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown mode {s:?}"))
     }
 }
 
@@ -102,6 +129,15 @@ pub fn fig3_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tokens_parse_back_in_any_case() {
+        for m in OpMode::ALL {
+            assert_eq!(m.token().to_ascii_uppercase().parse(), Ok(m));
+        }
+        assert_eq!("VN".parse(), Ok(OpMode::VirtualNode));
+        assert_eq!("smp2".parse::<OpMode>(), Err("unknown mode \"smp2\"".to_string()));
+    }
 
     #[test]
     fn every_mode_uses_at_most_four_cores() {

@@ -42,11 +42,12 @@ use bgp_arch::cli::ArgParser;
 use bgp_arch::events::CounterMode;
 use bgp_arch::OpMode;
 use bgp_bench::RunConfig;
-use bgp_core::supervisor::{supervise, AttemptOutcome, SupervisorConfig};
+use bgp_core::supervisor::{
+    install_rank_panic_hook, supervise, AttemptOutcome, SupervisorConfig,
+};
 use bgp_mpi::machine::CheckpointConfig;
 use bgp_mpi::CounterPolicy;
 use bgp_nas::{Class, Kernel};
-use bgp_serve::proto::{parse_class, parse_kernel, parse_mode, workload_tag};
 use bgp_trace::json::{Arr, Obj};
 use bgp_trace::TraceConfig;
 use std::path::PathBuf;
@@ -138,11 +139,18 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--out" => out = Some(p.path(&a)?),
             "--kernel" => {
-                args.kernel = p.token(&a, "mg|ft|ep|cg|is|lu|sp|bt", parse_kernel)?;
+                let kernels = Kernel::ALL.map(Kernel::token).join("|");
+                args.kernel = p.token(&a, &kernels, |s| s.parse().ok())?;
             }
-            "--class" => args.class = p.token(&a, "s|w|a", parse_class)?,
+            "--class" => {
+                let classes = Class::ALL.map(Class::token).join("|");
+                args.class = p.token(&a, &classes, |s| s.parse().ok())?;
+            }
             "--ranks" => args.ranks = p.parse(&a)?,
-            "--mode" => args.mode = p.token(&a, "smp1|smp4|dual|vnm", parse_mode)?,
+            "--mode" => {
+                let modes = OpMode::ALL.map(OpMode::token).join("|");
+                args.mode = p.token(&a, &modes, |s| s.parse().ok())?;
+            }
             "--policy" => {
                 args.policy = Some(p.token(
                     &a,
@@ -192,30 +200,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Rank panics inside a supervised run are expected control flow
-    // (watchdog kills, crash drills, budget violations): keep stderr to
-    // one line each and drop the peer-abort echoes entirely. Anything
-    // unrecognized still gets the default hook (it is a real bug).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
-            return;
-        }
-        if msg.contains("supervisor watchdog")
-            || msg.contains("MPI deadlock")
-            || msg.contains("simulated-cycle budget exceeded")
-        {
-            eprintln!("bgpc-run: rank died: {msg}");
-            return;
-        }
-        default_hook(info);
-    }));
+    install_rank_panic_hook("bgpc-run");
 
     // Checkpoint placement: `--resume DIR` implies that directory;
     // otherwise `--checkpoint-dir` (default `<out>/checkpoints`). A
@@ -249,7 +234,7 @@ fn main() -> ExitCode {
     let mut spec = bgp_mpi::JobSpec::new(run_cfg.ranks, run_cfg.mode);
     // Same workload tag as the service, so the cache key printed below
     // names the same entry a `submit` of this job would.
-    spec.workload = Some(workload_tag(run_cfg.kernel, run_cfg.class));
+    spec.workload = Some(run_cfg.kernel.workload_tag(run_cfg.class));
     spec.machine = run_cfg.machine.clone();
     spec.compile = run_cfg.compile;
     if let Some(policy) = args.policy {

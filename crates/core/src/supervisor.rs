@@ -213,6 +213,30 @@ where
     supervise_observed(spec, cfg, kernel, &())
 }
 
+/// Install the panic hook of a tool that runs supervised jobs. Rank
+/// panics inside a supervised run are expected control flow (watchdog
+/// kills, deadlocks, budget violations): each prints one
+/// `{tool}: rank died: …` line on stderr, and peer-abort echoes are
+/// dropped. Any other panic still reaches the previous hook (it is a
+/// real bug).
+pub fn install_rank_panic_hook(tool: &'static str) {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = panic_message(info.payload());
+        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
+            return;
+        }
+        if msg.contains("supervisor watchdog")
+            || msg.contains("MPI deadlock")
+            || msg.contains("simulated-cycle budget exceeded")
+        {
+            eprintln!("{tool}: rank died: {msg}");
+            return;
+        }
+        default_hook(info);
+    }));
+}
+
 /// [`supervise`] with a [`RunObserver`] watching each attempt. The
 /// observer sees every machine before its run starts (live phase
 /// sampling, external aborts) and every outcome after classification.

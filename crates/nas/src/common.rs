@@ -15,6 +15,7 @@
 
 use bgp_mpi::{RankCtx, SemOp, SimVec};
 use core::fmt;
+use core::str::FromStr;
 
 /// Scaled problem classes (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -25,6 +26,32 @@ pub enum Class {
     W,
     /// The figure-generation size (paper-proportioned footprints).
     A,
+}
+
+impl Class {
+    /// All classes, smallest first.
+    pub const ALL: [Class; 3] = [Class::S, Class::W, Class::A];
+
+    /// Lowercase command-line and protocol token; [`FromStr`] accepts
+    /// it in any case.
+    pub const fn token(self) -> &'static str {
+        match self {
+            Class::S => "s",
+            Class::W => "w",
+            Class::A => "a",
+        }
+    }
+}
+
+impl FromStr for Class {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Class, String> {
+        Class::ALL
+            .into_iter()
+            .find(|c| c.token().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown class {s:?}"))
+    }
 }
 
 impl fmt::Display for Class {
@@ -85,6 +112,31 @@ impl Kernel {
         }
     }
 
+    /// Lowercase command-line and protocol token; [`FromStr`] accepts
+    /// it in any case.
+    pub const fn token(self) -> &'static str {
+        match self {
+            Kernel::Mg => "mg",
+            Kernel::Ft => "ft",
+            Kernel::Ep => "ep",
+            Kernel::Cg => "cg",
+            Kernel::Is => "is",
+            Kernel::Lu => "lu",
+            Kernel::Sp => "sp",
+            Kernel::Bt => "bt",
+        }
+    }
+
+    /// Canonical workload name of this kernel at `class` (`nas-mg-a`):
+    /// the [`bgp_mpi::JobSpec::workload`] value every runner of NAS
+    /// kernels sets, so `bgpc-run`'s printed cache key matches the
+    /// service's entry for the same job. The spec alone cannot see which kernel future
+    /// runs on the machine, so without this tag MG and CG on identical
+    /// hardware would collide onto one cache key.
+    pub fn workload_tag(self, class: Class) -> String {
+        format!("nas-{}-{}", self.token(), class.token())
+    }
+
     /// Whether `ranks` is a legal process count: powers of two for the
     /// suite, except SP and BT which require square counts (the paper
     /// runs them at 121 = 11²).
@@ -120,6 +172,17 @@ impl Kernel {
     pub fn clamp_ranks(self, n: usize, class: Class) -> usize {
         let n = self.max_ranks(class).map_or(n, |m| n.min(m));
         self.ranks_at_most(n)
+    }
+}
+
+impl FromStr for Kernel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Kernel, String> {
+        Kernel::ALL
+            .into_iter()
+            .find(|k| k.token().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown kernel {s:?}"))
     }
 }
 
@@ -232,6 +295,20 @@ mod tests {
     fn kernel_names_and_order_match_fig6() {
         let names: Vec<_> = Kernel::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, ["MG", "FT", "EP", "CG", "IS", "LU", "SP", "BT"]);
+    }
+
+    #[test]
+    fn tokens_parse_back_in_any_case() {
+        for k in Kernel::ALL {
+            assert_eq!(k.token().parse(), Ok(k));
+            assert_eq!(k.name().parse(), Ok(k));
+        }
+        for c in Class::ALL {
+            assert_eq!(c.token().to_ascii_uppercase().parse(), Ok(c));
+        }
+        assert_eq!("xx".parse::<Kernel>(), Err("unknown kernel \"xx\"".to_string()));
+        assert_eq!("c".parse::<Class>(), Err("unknown class \"c\"".to_string()));
+        assert_eq!(Kernel::Mg.workload_tag(Class::A), "nas-mg-a");
     }
 
     #[test]

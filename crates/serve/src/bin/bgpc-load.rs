@@ -20,10 +20,10 @@
 //! which is exactly what the CI smoke test asserts.
 
 use bgp_arch::cli::ArgParser;
+use bgp_arch::OpMode;
+use bgp_nas::{Class, Kernel};
 use bgp_serve::load::{run_load, str_member, LoadConfig};
-use bgp_serve::proto::{
-    parse_class, parse_kernel, parse_mode, result_payload, Request, SubmitReq,
-};
+use bgp_serve::proto::{result_payload, Request, SubmitReq};
 use bgp_serve::Client;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
@@ -81,13 +81,17 @@ fn parse_args() -> Result<Args, String> {
             "--concurrency" => args.concurrency = p.parse(&a)?,
             "--distinct" => args.distinct = p.parse(&a)?,
             "--kernel" => {
-                args.template.kernel =
-                    p.token(&a, "mg|ft|ep|cg|is|lu|sp|bt", parse_kernel)?;
+                let kernels = Kernel::ALL.map(Kernel::token).join("|");
+                args.template.kernel = p.token(&a, &kernels, |s| s.parse().ok())?;
             }
-            "--class" => args.template.class = p.token(&a, "s|w|a", parse_class)?,
+            "--class" => {
+                let classes = Class::ALL.map(Class::token).join("|");
+                args.template.class = p.token(&a, &classes, |s| s.parse().ok())?;
+            }
             "--ranks" => args.template.ranks = p.parse(&a)?,
             "--mode" => {
-                args.template.mode = p.token(&a, "smp1|smp4|dual|vnm", parse_mode)?;
+                let modes = OpMode::ALL.map(OpMode::token).join("|");
+                args.template.mode = p.token(&a, &modes, |s| s.parse().ok())?;
             }
             "--priority" => args.template.priority = p.parse(&a)?,
             "--seed" => args.template.seed = p.parse(&a)?,

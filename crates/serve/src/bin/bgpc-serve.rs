@@ -13,6 +13,7 @@
 //! the wire protocol and `bgpc-load` for the matching client.
 
 use bgp_arch::cli::ArgParser;
+use bgp_core::supervisor::install_rank_panic_hook;
 use bgp_serve::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -60,29 +61,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Supervised ranks die by panic on watchdog kills and budget
-    // violations — expected control flow, same policy as bgpc-run:
-    // one stderr line each, peer-abort echoes dropped.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
-            return;
-        }
-        if msg.contains("supervisor watchdog")
-            || msg.contains("MPI deadlock")
-            || msg.contains("simulated-cycle budget exceeded")
-        {
-            eprintln!("bgpc-serve: rank died: {msg}");
-            return;
-        }
-        default_hook(info);
-    }));
+    install_rank_panic_hook("bgpc-serve");
 
     let server = match Server::bind(cfg) {
         Ok(server) => server,

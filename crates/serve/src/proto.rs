@@ -121,66 +121,6 @@ impl Default for SubmitReq {
     }
 }
 
-/// Parse the protocol's lowercase kernel token.
-pub fn parse_kernel(s: &str) -> Option<Kernel> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "mg" => Kernel::Mg,
-        "ft" => Kernel::Ft,
-        "ep" => Kernel::Ep,
-        "cg" => Kernel::Cg,
-        "is" => Kernel::Is,
-        "lu" => Kernel::Lu,
-        "sp" => Kernel::Sp,
-        "bt" => Kernel::Bt,
-        _ => return None,
-    })
-}
-
-/// Parse the protocol's lowercase class token.
-pub fn parse_class(s: &str) -> Option<Class> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "s" => Class::S,
-        "w" => Class::W,
-        "a" => Class::A,
-        _ => return None,
-    })
-}
-
-/// Parse the protocol's mode token (`smp1`, `smp4`, `dual`, `vnm`).
-pub fn parse_mode(s: &str) -> Option<OpMode> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "smp1" => OpMode::Smp1,
-        "smp4" => OpMode::Smp4,
-        "dual" => OpMode::Dual,
-        "vnm" | "vn" => OpMode::VirtualNode,
-        _ => return None,
-    })
-}
-
-/// Canonical workload name for a (kernel, class) pair — the
-/// [`JobSpec::workload`] value every runner that executes NAS kernels
-/// must use, so `bgpc-run`'s printed cache key matches the service's
-/// entry for the same job. The spec alone cannot see which kernel
-/// future runs on the machine, so without this tag MG and CG on
-/// identical hardware would collide onto one cache key.
-pub fn workload_tag(kernel: Kernel, class: Class) -> String {
-    format!(
-        "nas-{}-{}",
-        kernel.name().to_ascii_lowercase(),
-        class.to_string().to_ascii_lowercase()
-    )
-}
-
-/// The protocol's mode token for `mode` (inverse of [`parse_mode`]).
-pub fn mode_token(mode: OpMode) -> &'static str {
-    match mode {
-        OpMode::Smp1 => "smp1",
-        OpMode::Smp4 => "smp4",
-        OpMode::Dual => "dual",
-        OpMode::VirtualNode => "vnm",
-    }
-}
-
 impl SubmitReq {
     /// Expand into the full [`JobSpec`] the worker pool runs.
     /// `sim_threads` and tracing are server policy, not client input —
@@ -191,7 +131,7 @@ impl SubmitReq {
     pub fn job_spec(&self, sim_threads: usize, trace: bool) -> JobSpec {
         let ranks = self.kernel.clamp_ranks(self.ranks.max(1), self.class);
         let mut spec = JobSpec::new(ranks, self.mode);
-        spec.workload = Some(workload_tag(self.kernel, self.class));
+        spec.workload = Some(self.kernel.workload_tag(self.class));
         spec.sim_threads = Some(sim_threads.max(1));
         if trace {
             spec.trace = Some(TraceConfig::default());
@@ -223,7 +163,7 @@ impl SubmitReq {
         obj.field_str("kernel", &self.kernel.name().to_ascii_lowercase())
             .field_str("class", &self.class.to_string().to_ascii_lowercase())
             .field_u64("ranks", self.ranks as u64)
-            .field_str("mode", mode_token(self.mode))
+            .field_str("mode", self.mode.token())
             .field_u64("seed", self.seed)
             .field_u64("priority", self.priority as u64)
             .field_bool("stream", self.stream)
@@ -313,11 +253,11 @@ fn parse_submit_members(v: &Value) -> Result<SubmitReq, String> {
     let mut req = SubmitReq::default();
     if let Some(k) = v.get("kernel") {
         let k = k.as_str().ok_or("\"kernel\" must be a string")?;
-        req.kernel = parse_kernel(k).ok_or_else(|| format!("unknown kernel {k:?}"))?;
+        req.kernel = k.parse()?;
     }
     if let Some(c) = v.get("class") {
         let c = c.as_str().ok_or("\"class\" must be a string")?;
-        req.class = parse_class(c).ok_or_else(|| format!("unknown class {c:?}"))?;
+        req.class = c.parse()?;
     }
     if let Some(r) = v.get("ranks") {
         let r = r.as_u64().ok_or("\"ranks\" must be a positive integer")?;
@@ -328,7 +268,7 @@ fn parse_submit_members(v: &Value) -> Result<SubmitReq, String> {
     }
     if let Some(m) = v.get("mode") {
         let m = m.as_str().ok_or("\"mode\" must be a string")?;
-        req.mode = parse_mode(m).ok_or_else(|| format!("unknown mode {m:?}"))?;
+        req.mode = m.parse()?;
     }
     if let Some(s) = v.get("seed") {
         req.seed = s.as_u64().ok_or("\"seed\" must be a u64")?;

@@ -24,8 +24,7 @@
 //!    key leaves the in-flight table, so later submits hit the cache.
 
 use crate::proto::{
-    mode_token, CacheOutcome, ParseError, Request, SubmitReq, MAX_CONNECTIONS, MAX_REQUEST_BYTES,
-    PROTO_VERSION,
+    CacheOutcome, ParseError, Request, SubmitReq, MAX_CONNECTIONS, MAX_REQUEST_BYTES, PROTO_VERSION,
 };
 use crate::queue::{JobQueue, PushError, QueueConfig, QueueItem};
 use bgp_core::supervisor::{
@@ -948,10 +947,10 @@ fn result_json(
         .field_str("key", &key.hex())
         .field_str("spec_hash", &format!("{:#018x}", key.spec))
         .field_u64("seed", key.seed)
-        .field_str("kernel", &req.kernel.name().to_ascii_lowercase())
-        .field_str("class", &req.class.to_string().to_ascii_lowercase())
+        .field_str("kernel", req.kernel.token())
+        .field_str("class", req.class.token())
         .field_u64("ranks", ranks as u64)
-        .field_str("mode", mode_token(req.mode))
+        .field_str("mode", req.mode.token())
         .field_bool("verified", true)
         .field_u64("job_cycles", machine.job_cycles())
         .field_u64("phases", machine.phases())
