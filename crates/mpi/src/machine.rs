@@ -610,11 +610,6 @@ impl Machine {
         hooks.push(hook);
     }
 
-    /// Whether the counter policy rotates modes at phase boundaries.
-    pub fn mux_active(&self) -> bool {
-        self.mux.is_some()
-    }
-
     /// A continuity mark of `node`'s multiplexed counter totals
     /// (harvested accumulators plus live counters) and per-mode
     /// occupancy, or `None` when the policy is not multiplexed. The
@@ -1493,7 +1488,6 @@ mod tests {
             base_dwell: 2,
         };
         let m = Machine::new(spec);
-        assert!(m.mux_active());
         assert_eq!(m.with_node(0, |n| n.upc().mode()), CounterMode::Mode2);
         m.enable_all_counters();
         let start = m.mux_mark(0).expect("mux policy has marks");

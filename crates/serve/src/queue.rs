@@ -172,11 +172,6 @@ impl JobQueue {
         self.lock().closed = true;
         self.cv.notify_all();
     }
-
-    /// Whether [`JobQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +234,6 @@ mod tests {
         assert_eq!(q.push(key(2), req(1)), Err(PushError::Closed));
         assert_eq!(q.pop_blocking().unwrap().key.seed, 1, "admitted jobs drain");
         assert!(q.pop_blocking().is_none());
-        assert!(q.is_closed());
     }
 
     #[test]

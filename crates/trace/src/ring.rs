@@ -28,15 +28,6 @@ impl<T> RingBuffer<T> {
         self.cap
     }
 
-    /// Change the capacity; excess oldest entries are dropped (counted).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.cap = capacity;
-        while self.buf.len() > self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-    }
-
     /// Append `value`, evicting the oldest entry if the ring is full.
     pub fn push(&mut self, value: T) {
         if self.cap == 0 {
@@ -145,16 +136,5 @@ mod tests {
         }
         assert_eq!(r.last_n(3), vec![3, 4, 5]);
         assert_eq!(r.last_n(100), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn shrinking_capacity_trims_the_oldest() {
-        let mut r = RingBuffer::new(5);
-        for i in 0..5 {
-            r.push(i);
-        }
-        r.set_capacity(2);
-        assert_eq!(r.to_vec(), vec![3, 4]);
-        assert_eq!(r.dropped(), 3);
     }
 }
