@@ -131,16 +131,6 @@ impl Cache {
         }
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Associativity.
-    pub fn assoc(&self) -> usize {
-        self.assoc
-    }
-
     #[inline]
     fn set_of(&self, line: u64) -> usize {
         match self.set_mask {
