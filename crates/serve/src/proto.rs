@@ -160,8 +160,8 @@ impl SubmitReq {
     /// Append this request's job members to `obj` (shared between the
     /// `submit` line and each element of a `batch` envelope).
     fn members(&self, obj: json::Obj) -> json::Obj {
-        obj.field_str("kernel", &self.kernel.name().to_ascii_lowercase())
-            .field_str("class", &self.class.to_string().to_ascii_lowercase())
+        obj.field_str("kernel", self.kernel.token())
+            .field_str("class", self.class.token())
             .field_u64("ranks", self.ranks as u64)
             .field_str("mode", self.mode.token())
             .field_u64("seed", self.seed)
